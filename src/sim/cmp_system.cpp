@@ -32,16 +32,6 @@ CmpSystem::CmpSystem(const SystemConfig& config)
       counters_(config.num_threads),
       core_of_(config.num_threads) {
   CAPART_CHECK(config_.num_threads >= 1, "system needs at least one thread");
-  l1s_.reserve(config_.num_threads);
-  for (ThreadId t = 0; t < config_.num_threads; ++t) {
-    l1s_.emplace_back(config_.l1);
-  }
-  if (config_.enable_private_l2) {
-    private_l2s_.reserve(config_.num_threads);
-    for (ThreadId t = 0; t < config_.num_threads; ++t) {
-      private_l2s_.emplace_back(config_.private_l2);
-    }
-  }
   std::iota(core_of_.begin(), core_of_.end(), ThreadId{0});
   if (config_.enable_utility_monitor) {
     const std::uint32_t shards = std::max(1u, config_.monitor_shards);
@@ -57,9 +47,23 @@ CmpSystem::CmpSystem(const SystemConfig& config)
   }
 }
 
+void CmpSystem::build_private_caches() {
+  l1s_.reserve(config_.num_threads);
+  for (ThreadId t = 0; t < config_.num_threads; ++t) {
+    l1s_.emplace_back(config_.l1);
+  }
+  if (config_.enable_private_l2) {
+    private_l2s_.reserve(config_.num_threads);
+    for (ThreadId t = 0; t < config_.num_threads; ++t) {
+      private_l2s_.emplace_back(config_.private_l2);
+    }
+  }
+}
+
 Cycles CmpSystem::memory_access(ThreadId thread, Addr addr, AccessType type,
                                 bool prefetchable, Cycles now) {
   CAPART_CHECK(thread < config_.num_threads, "thread id out of range");
+  if (l1s_.empty()) [[unlikely]] build_private_caches();
   cpu::CounterBlock& c = counters_.thread(thread);
   c.instructions += 1;
   c.l1_accesses += 1;

@@ -82,10 +82,10 @@ class CmpSystem {
 
   /// memory_access for a *resolved* op: the private-level outcome (`level` =
   /// L1 hit / private-L2 hit / reaches the shared cache) was precomputed by
-  /// a trace-spool resolve pass over the identical private hierarchy, so the
-  /// private caches are not simulated again — only their counters are
+  /// a spooled or streamed resolve over the identical private hierarchy, so
+  /// the private caches are not simulated again — only their counters are
   /// updated, exactly as memory_access would have. Valid only while threads
-  /// stay on their initial 1:1 core binding (the spool refuses migration
+  /// stay on their initial 1:1 core binding (both resolves refuse migration
   /// schedules). Counter and timing effects are bit-identical.
   Cycles memory_access_resolved(ThreadId thread, Addr addr, AccessType type,
                                 bool prefetchable,
@@ -125,6 +125,12 @@ class CmpSystem {
   }
 
  private:
+  /// Builds the per-core L1s (and private L2s) on the first unresolved
+  /// access. Runs replaying resolved ops — spooled or streamed, which is
+  /// every run without migrations or caller-supplied sources — never
+  /// simulate private caches here, so they never pay for them.
+  void build_private_caches();
+
   /// The shared-cache leg common to memory_access and its resolved variant:
   /// bank contention, monitor feed, L2 lookup. Returns the level reached and
   /// adds any bank wait to `contention_wait`.
@@ -134,7 +140,7 @@ class CmpSystem {
 
   SystemConfig config_;
   cpu::TimingModel timing_;
-  std::vector<mem::SetAssocCache> l1s_;          // one per core
+  std::vector<mem::SetAssocCache> l1s_;          // one per core; lazy
   std::vector<mem::SetAssocCache> private_l2s_;  // one per core, optional
   std::unique_ptr<mem::L2Organization> l2_;
   std::unique_ptr<mem::UtilityMonitor> umon_;

@@ -13,6 +13,7 @@
 #include "src/obs/events.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/sim/cmp_system.hpp"
+#include "src/sim/streamed_resolve.hpp"
 #include "src/sim/trace_spool.hpp"
 #include "src/trace/benchmarks.hpp"
 
@@ -160,12 +161,17 @@ PreparedExperiment::PreparedExperiment(
   // Per-thread op streams: caller-supplied replays (the lockstep runner's
   // shared decoded trace), else resolved spool replays when a spool
   // directory is configured and the run is eligible (bit-identical, but
-  // skips generation and private-hierarchy simulation), else live
-  // deterministic generators.
+  // skips generation and private-hierarchy simulation), else streamed
+  // resolves when the run is eligible (the same resolved ops, generated on
+  // helper threads ahead of the driver), else live deterministic generators
+  // whose ops the driver resolves through the private caches itself.
   std::vector<std::unique_ptr<trace::OpSource>> generators =
       std::move(sources);
   if (generators.empty()) {
     generators = spool_sources(config_, per_thread);
+    if (generators.empty()) {
+      generators = streamed_sources(config_, profile, per_thread);
+    }
   } else {
     CAPART_CHECK(generators.size() == config_.num_threads,
                  "prepared experiment: one op source per thread required");

@@ -102,7 +102,8 @@ struct ExperimentConfig {
   std::uint32_t intra_jobs = 1;
 
   /// Directory for resolved-trace spool files (see sim/trace_spool.hpp);
-  /// empty disables spooling and runs live generators. Arms sharing a
+  /// empty disables spooling and runs live generators, resolved on helper
+  /// threads as the run goes (sim/streamed_resolve.hpp). Arms sharing a
   /// workload profile amortize one generation+resolve pass through this
   /// cache; results are bit-identical with or without it. Also an
   /// execution-resource knob, excluded from manifests and codecs.
@@ -189,8 +190,10 @@ class PreparedExperiment {
   /// publication, system construction, op sources, program, driver and
   /// runtime attachment. Non-empty `sources` (one per thread) override the
   /// config's own op-source construction — the lockstep runner passes
-  /// replays of a shared decoded trace. Throws what run_experiment's setup
-  /// throws (ConfigError and friends).
+  /// replays of a shared decoded trace. Without them a run replays its
+  /// spool, else streams resolved ops (sim/streamed_resolve.hpp), else (on
+  /// migration runs) simulates its private caches from live generators.
+  /// Throws what run_experiment's setup throws (ConfigError and friends).
   explicit PreparedExperiment(
       const ExperimentConfig& config,
       std::vector<std::unique_ptr<trace::OpSource>> sources = {});

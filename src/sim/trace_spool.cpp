@@ -4,6 +4,7 @@
 #include <sys/stat.h>
 
 #include <algorithm>
+#include <array>
 #include <filesystem>
 #include <map>
 #include <mutex>
@@ -12,10 +13,8 @@
 
 #include "src/common/check.hpp"
 #include "src/common/error.hpp"
-#include "src/common/rng.hpp"
-#include "src/mem/set_assoc_cache.hpp"
+#include "src/sim/streamed_resolve.hpp"
 #include "src/trace/benchmarks.hpp"
-#include "src/trace/phase.hpp"
 #include "src/trace/trace_io.hpp"
 
 namespace capart::sim {
@@ -123,51 +122,30 @@ void touch_spool_entry(const std::string& path) noexcept {
 }
 
 /// Generates and resolves thread `t`'s stream exactly as a live driver run
-/// would consume it, and writes the packed spool file.
-void resolve_thread(const ExperimentConfig& config,
-                    const trace::BenchmarkProfile& profile,
-                    Instructions per_thread, ThreadId t,
+/// would consume it (the streamed sources' loop), and writes the packed
+/// spool file.
+void resolve_thread(const ResolveSpec& spec, ThreadId t,
                     const std::string& key, const std::string& path) {
-  const Rng root(config.seed);
-  trace::PhasedGenerator gen(trace::PhaseSchedule(profile.threads[t].phases),
-                             root.fork(t), private_region_base(t),
-                             shared_region_base());
-  mem::SetAssocCache l1(config.l1);
-  std::unique_ptr<mem::SetAssocCache> pl2;
-  if (config.enable_private_l2) {
-    pl2 = std::make_unique<mem::SetAssocCache>(config.private_l2);
-  }
-
+  ThreadResolver resolver(spec, t);
   std::vector<trace::PackedOp> ops;
-  ops.reserve(static_cast<std::size_t>(per_thread / 4) + 16);
-  Instructions cum = 0;
-  while (cum < per_thread) {
-    trace::NextOp op = gen.next();
-    // The driver pulls this op (cum < per_thread) and executes its access
-    // only when the gap plus the access itself still fit the thread's total
-    // budget; a final op whose gap alone exhausts the budget is pulled but
-    // its access never runs — mirrored here by leaving it kUnresolved, which
-    // doubles as a tripwire (memory_access_resolved aborts on it).
-    const bool executed = cum + op.gap + 1 <= per_thread;
-    cum += op.gap + 1;
-    if (executed) {
-      if (l1.access(op.addr, op.type)) {
-        op.resolved = trace::ResolvedLevel::kL1Hit;
-      } else if (pl2 != nullptr && pl2->access(op.addr, op.type)) {
-        op.resolved = trace::ResolvedLevel::kPrivateL2Hit;
-      } else {
-        op.resolved = trace::ResolvedLevel::kShared;
-      }
+  ops.reserve(static_cast<std::size_t>(spec.per_thread / 4) + 16);
+  std::array<trace::NextOp, 256> batch;
+  while (const std::size_t got = resolver.fill(batch.data(), batch.size())) {
+    for (std::size_t i = 0; i < got; ++i) {
+      ops.push_back(trace::pack_op(batch[i]));
     }
-    ops.push_back(trace::pack_op(op));
   }
+  // A final op whose gap alone exhausts the budget is pulled by the driver
+  // but its access never runs, so the resolver leaves it kUnresolved. The
+  // spool keeps it that way on purpose, as a tripwire: replaying it as an
+  // executed access would be a driver bug, and memory_access_resolved
+  // aborts on an unresolved op.
   trace::write_packed_trace_file(path, key, ops);
 }
 
 std::shared_ptr<trace::MmapTraceFile> acquire_thread(
-    const ExperimentConfig& config, const trace::BenchmarkProfile& profile,
-    Instructions per_thread, ThreadId t) {
-  const std::string key = spool_key(config, per_thread, t);
+    const ExperimentConfig& config, const ResolveSpec& spec, ThreadId t) {
+  const std::string key = spool_key(config, spec.per_thread, t);
   const std::string path = spool_path(config.trace_spool_dir, key);
   {
     std::lock_guard<std::mutex> lock(g_registry_mutex);
@@ -182,7 +160,7 @@ std::shared_ptr<trace::MmapTraceFile> acquire_thread(
   std::shared_ptr<trace::MmapTraceFile> file =
       trace::MmapTraceFile::open(path, key);
   if (file == nullptr) {
-    resolve_thread(config, profile, per_thread, t, key, path);
+    resolve_thread(spec, t, key, path);
     file = trace::MmapTraceFile::open(path, key);
     CAPART_CHECK(file != nullptr, "trace spool: freshly written file vanished");
   } else {
@@ -200,12 +178,11 @@ std::shared_ptr<trace::MmapTraceFile> acquire_thread(
 /// at most once process-wide while any holder is alive. Concurrent first
 /// decodes of one path may briefly duplicate work; the registry keeps one.
 std::shared_ptr<const DecodedTrace> acquire_decoded(
-    const ExperimentConfig& config, const trace::BenchmarkProfile& profile,
-    Instructions per_thread, ThreadId t) {
+    const ExperimentConfig& config, const ResolveSpec& spec, ThreadId t) {
   const std::shared_ptr<trace::MmapTraceFile> file =
-      acquire_thread(config, profile, per_thread, t);
-  const std::string path =
-      spool_path(config.trace_spool_dir, spool_key(config, per_thread, t));
+      acquire_thread(config, spec, t);
+  const std::string path = spool_path(config.trace_spool_dir,
+                                      spool_key(config, spec.per_thread, t));
   {
     std::lock_guard<std::mutex> lock(g_registry_mutex);
     if (auto decoded = decoded_registry()[path].lock()) return decoded;
@@ -253,8 +230,9 @@ std::vector<std::unique_ptr<trace::OpSource>> spool_sources(
     // in the 1:1 binding, so such runs must simulate the hierarchy live.
     return sources;
   }
-  const trace::BenchmarkProfile profile =
-      trace::make_profile(config.profile, config.num_threads);
+  const ResolveSpec spec = make_resolve_spec(
+      config, trace::make_profile(config.profile, config.num_threads),
+      per_thread);
 
   std::vector<std::shared_ptr<trace::MmapTraceFile>> files(
       config.num_threads);
@@ -263,7 +241,7 @@ std::vector<std::unique_ptr<trace::OpSource>> spool_sources(
                               config.num_threads);
   if (jobs <= 1) {
     for (ThreadId t = 0; t < config.num_threads; ++t) {
-      files[t] = acquire_thread(config, profile, per_thread, t);
+      files[t] = acquire_thread(config, spec, t);
     }
   } else {
     // Per-thread resolves are independent (own generator fork, own private
@@ -276,7 +254,7 @@ std::vector<std::unique_ptr<trace::OpSource>> spool_sources(
         try {
           for (ThreadId t = w; t < config.num_threads;
                t += static_cast<ThreadId>(jobs)) {
-            files[t] = acquire_thread(config, profile, per_thread, t);
+            files[t] = acquire_thread(config, spec, t);
           }
         } catch (...) {
           errors[w] = std::current_exception();
@@ -305,12 +283,13 @@ std::vector<std::unique_ptr<trace::OpSource>> decoded_spool_sources(
     // foreign L1s mid-run, which resolved traces cannot express.
     return sources;
   }
-  const trace::BenchmarkProfile profile =
-      trace::make_profile(config.profile, config.num_threads);
+  const ResolveSpec spec = make_resolve_spec(
+      config, trace::make_profile(config.profile, config.num_threads),
+      per_thread);
   sources.reserve(config.num_threads);
   for (ThreadId t = 0; t < config.num_threads; ++t) {
-    sources.push_back(std::make_unique<DecodedReplay>(
-        acquire_decoded(config, profile, per_thread, t)));
+    sources.push_back(
+        std::make_unique<DecodedReplay>(acquire_decoded(config, spec, t)));
   }
   spool_gc(config.trace_spool_dir, config.trace_spool_max_bytes);
   return sources;

@@ -10,19 +10,21 @@
 // private L1 (+ optional private L2), and writes the resolved ops to a
 // packed v2 trace file (trace_io.hpp). Every later experiment — in this
 // process or any other sharing the spool directory — mmap()s the file and
-// replays it, skipping both generation (the stack-distance draws are ~30% of
-// a run) and private-hierarchy simulation (the L1 is another ~25%): the
-// driver dispatches resolved ops through CmpSystem::memory_access_resolved,
-// which replays the private-level counter effects and simulates only the
-// shared cache.
+// replays it, skipping both generation (the stack-distance draws are ~59 %
+// of a live fig 19-21 sweep's wall) and private-hierarchy simulation (the
+// L1s are another ~17 %): the driver dispatches resolved ops through
+// CmpSystem::memory_access_resolved, which replays the private-level
+// counter effects and simulates only the shared cache.
 //
-// Bit-identity: the resolve pass consumes the generator exactly as the
-// driver would (an op's access executes iff the thread's cumulative
-// instruction budget admits its gap plus one access; see the loop in
-// resolve_thread) and runs the same SetAssocCache code against the same
-// geometry, so the replayed run's counters, interval boundaries and shared
-// cache contents are byte-for-byte those of a live run. Asserted by
-// tests/test_trace_spool.cpp and the fig19-21 byte-identity gate.
+// Bit-identity: the resolve pass runs ThreadResolver (streamed_resolve.hpp),
+// the loop the default live path also streams from: it consumes the
+// generator exactly as the driver would (an op's access executes iff the
+// thread's cumulative instruction budget admits its gap plus one access)
+// and runs the same SetAssocCache code against the same geometry, so the
+// replayed run's counters, interval boundaries and shared cache contents are
+// byte-for-byte those of an unresolved live run. Asserted by
+// tests/test_trace_spool.cpp, tests/test_streamed_resolve.cpp and the
+// fig19-21 byte-identity gate.
 //
 // Keys and safety: every file stores its full human-readable key (profile,
 // threads, seed, per-thread work, private geometries, replacement kinds);

@@ -8,12 +8,13 @@
 namespace capart::trace {
 
 /// Outcome of the private-cache portion of one access, precomputed by the
-/// trace spool (sim/trace_spool.hpp). A thread's L1 (and optional private
-/// L2) sees only that thread's own stream, so its hit/miss sequence is
-/// independent of the global interleaving — it can be resolved once per
-/// (profile, seed, geometry) and replayed by every arm that shares them,
-/// skipping the private-cache simulation entirely. kUnresolved marks live
-/// generator output: the driver simulates the full hierarchy as always.
+/// trace spool (sim/trace_spool.hpp) or the streamed resolve
+/// (sim/streamed_resolve.hpp). A thread's L1 (and optional private L2) sees
+/// only that thread's own stream, so its hit/miss sequence is independent
+/// of the global interleaving — it can be resolved ahead of the driver, or
+/// once per (profile, seed, geometry) and replayed by every arm that shares
+/// them. kUnresolved marks raw generator output: the driver simulates the
+/// full hierarchy itself.
 enum class ResolvedLevel : std::uint8_t {
   kUnresolved = 0,
   kL1Hit,        ///< hits in the private L1
@@ -35,7 +36,7 @@ struct NextOp {
   /// cache *polluter* — high insertion rate, little performance return —
   /// the shared-LRU pathology of paper §I.
   bool prefetchable = false;
-  /// Precomputed private-cache outcome (trace-spool replay only).
+  /// Precomputed private-cache outcome (spooled and streamed resolves).
   ResolvedLevel resolved = ResolvedLevel::kUnresolved;
 };
 

@@ -1,5 +1,7 @@
 #include "src/trace/phase.hpp"
 
+#include <algorithm>
+
 namespace capart::trace {
 
 PhaseSchedule::PhaseSchedule(std::vector<Phase> phases)
@@ -29,6 +31,14 @@ PhasedGenerator::PhasedGenerator(PhaseSchedule schedule, Rng rng,
     : schedule_(std::move(schedule)),
       generator_(schedule_.at(0).params, rng, private_base, shared_base),
       current_phase_(schedule_.index_at(0)) {}
+
+void PhasedGenerator::reserve() {
+  std::uint32_t blocks = 0;
+  for (const Phase& phase : schedule_.phases()) {
+    blocks = std::max(blocks, phase.params.working_set_blocks);
+  }
+  generator_.reserve(blocks);
+}
 
 NextOp PhasedGenerator::next() {
   const std::size_t phase = schedule_.index_at(position_);

@@ -48,6 +48,11 @@ class PhasedGenerator final : public OpSource {
   /// granularity (a boundary inside a gap run takes effect at the next op).
   NextOp next() override;
 
+  /// Sizes the generator's storage for every phase of the schedule, so
+  /// next() never allocates (a source filled on a helper thread then leaves
+  /// nothing in that thread's allocator). The stream is unchanged.
+  void reserve();
+
   /// Current position in the thread's instruction stream.
   Instructions position() const noexcept { return position_; }
 

@@ -93,6 +93,13 @@ void StackDistGenerator::set_params(const GenParams& params) {
   }
 }
 
+void StackDistGenerator::reserve(std::uint32_t blocks) {
+  // The dead prefix is compacted once it reaches the live size, and the
+  // live size exceeds the working set by at most one block before the LRU
+  // one drops, so the vector never holds more than 2 * blocks + 2 entries.
+  stack_.reserve(2 * static_cast<std::size_t>(blocks) + 2);
+}
+
 void StackDistGenerator::drop_lru(std::size_t n) {
   base_ += n;
   if (base_ >= stack_.size() - base_) {

@@ -85,6 +85,11 @@ class StackDistGenerator {
   /// new phase with warm state.
   void set_params(const GenParams& params);
 
+  /// Sizes the LRU stack's storage for working sets of up to `blocks`, so
+  /// later draws never allocate. The stream is unchanged: capacity is not
+  /// observable.
+  void reserve(std::uint32_t blocks);
+
   const GenParams& params() const noexcept { return params_; }
 
   /// Number of distinct private blocks touched so far.

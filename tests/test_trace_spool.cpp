@@ -1,7 +1,9 @@
 // Trace-spool contract tests: spooled replay is bit-identical to the live
 // generator+private-hierarchy path, spool keys include exactly what shapes a
 // thread's resolved stream, and the in-process registry shares one mapping
-// across arms.
+// across arms. A run_experiment without a spool directory takes the
+// streamed resolve (sim/streamed_resolve.hpp); run_unresolved below is the
+// path whose driver simulates the private caches itself.
 #include "src/sim/trace_spool.hpp"
 
 #include <gtest/gtest.h>
@@ -14,8 +16,11 @@
 #include <string>
 #include <vector>
 
+#include "src/common/rng.hpp"
 #include "src/mem/cache_stats.hpp"
 #include "src/sim/experiment.hpp"
+#include "src/trace/benchmarks.hpp"
+#include "src/trace/phase.hpp"
 #include "src/trace/trace_io.hpp"
 
 namespace capart::sim {
@@ -38,6 +43,24 @@ std::string fresh_dir(const char* name) {
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   return dir;
+}
+
+/// Live generators handed in by the caller: the unresolved path, where the
+/// driver simulates each thread's private caches itself.
+ExperimentResult run_unresolved(const ExperimentConfig& cfg) {
+  const trace::BenchmarkProfile profile =
+      trace::make_profile(cfg.profile, cfg.num_threads);
+  const Rng root(cfg.seed);
+  std::vector<std::unique_ptr<trace::OpSource>> generators;
+  for (ThreadId t = 0; t < cfg.num_threads; ++t) {
+    generators.push_back(std::make_unique<trace::PhasedGenerator>(
+        trace::PhaseSchedule(profile.threads[t].phases), root.fork(t),
+        private_region_base(t), shared_region_base()));
+  }
+  PreparedExperiment prepared(cfg, std::move(generators));
+  while (prepared.advance_interval()) {
+  }
+  return prepared.finalize();
 }
 
 void expect_identical(const ExperimentResult& a, const ExperimentResult& b) {
@@ -65,7 +88,7 @@ TEST(TraceSpool, SpooledRunIsBitIdenticalToLive) {
   const std::string dir = fresh_dir("capart_spool_ident");
   ExperimentConfig live = small_config("");
   ExperimentConfig spooled = small_config(dir);
-  const ExperimentResult a = run_experiment(live);
+  const ExperimentResult a = run_unresolved(live);
   // First spooled run resolves and writes the files, second replays them
   // from the in-process registry: all three must agree exactly.
   const ExperimentResult b = run_experiment(spooled);
