@@ -80,22 +80,10 @@ BenchOptions parse_options(int argc, char** argv) try {
         std::fprintf(stderr, "invalid value for --jobs: must be >= 1\n");
         std::exit(2);
       }
-    } else if (key == "--intra-jobs") {
-      opt.intra_jobs = parse_u32_flag(value, "--intra-jobs");
-      if (opt.intra_jobs == 0) {
-        std::fprintf(stderr, "invalid value for --intra-jobs: must be >= 1\n");
-        std::exit(2);
-      }
     } else if (key == "--trace-dir") {
       opt.trace_dir = std::string(value);
     } else if (key == "--trace-dir-max-bytes") {
       opt.trace_dir_max_bytes = parse_u64_flag(value, "--trace-dir-max-bytes");
-    } else if (key == "--lockstep") {
-      if (!value.empty() && value != "1" && value != "0") {
-        std::fprintf(stderr, "invalid value for --lockstep: want 0 or 1\n");
-        std::exit(2);
-      }
-      opt.lockstep = value != "0";
     } else if (key == "--arm-retries") {
       opt.arm_retries = parse_u32_flag(value, "--arm-retries");
     } else if (key == "--arm-deadline") {
@@ -110,8 +98,7 @@ BenchOptions parse_options(int argc, char** argv) try {
       std::printf(
           "flags: --intervals=N --interval-instr=N --threads=N --seed=N "
           "--jobs=N\n"
-          "       --intra-jobs=N --trace-dir=DIR --trace-dir-max-bytes=N "
-          "--lockstep\n"
+          "       --trace-dir=DIR --trace-dir-max-bytes=N\n"
           "       --profile=NAME[,..] --arm-retries=N --arm-deadline=SECONDS\n"
           "       --l2-repl=lru|plru|srrip --l2-index=scan|hash|auto\n"
           "       --l2-banks=N --l2-enforce=default|eviction-control|clos\n"
@@ -135,16 +122,10 @@ BenchOptions parse_options(int argc, char** argv) try {
           "  --jobs=N  run up to N experiments concurrently (default: all "
           "cores);\n"
           "            results are bit-identical for any value\n"
-          "  --intra-jobs=N  worker threads inside each experiment (spool\n"
-          "            resolves + monitor feeding); bit-identical for any "
-          "value\n"
           "  --trace-dir=DIR resolved-trace spool directory (default off);\n"
           "            arms sharing a profile amortize one resolve pass\n"
           "  --trace-dir-max-bytes=N LRU size cap for the spool directory\n"
           "            (default 0 = unbounded)\n"
-          "  --lockstep      arms sharing a spool identity replay one shared\n"
-          "            decoded trace in lockstep (needs --trace-dir);\n"
-          "            results are bit-identical either way\n"
           "  --arm-retries=N        re-run a failed arm up to N times "
           "(default 0)\n"
           "  --arm-deadline=SEC     per-arm wall-clock budget; an expired arm "
@@ -191,7 +172,6 @@ sim::ExperimentConfig base_config(const BenchOptions& opt,
   cfg.l2_enforce = opt.l2_enforce;
   cfg.clos_budget = opt.clos_budget;
   cfg.clos_mapper = opt.clos_mapper;
-  cfg.intra_jobs = opt.intra_jobs;
   cfg.trace_spool_dir = opt.trace_dir;
   cfg.trace_spool_max_bytes = opt.trace_dir_max_bytes;
   return cfg;
@@ -284,8 +264,7 @@ sim::BatchResult run_spec(const sim::ExperimentSpec& spec,
                           const BenchOptions& opt) {
   const sim::BatchPolicy policy{.max_retries = opt.arm_retries,
                                 .arm_deadline_seconds = opt.arm_deadline,
-                                .fail_fast = false,
-                                .lockstep = opt.lockstep};
+                                .fail_fast = false};
   const sim::BatchRunner runner(resolved_jobs(opt), policy);
 
   // Observability: all arms share one JSONL sink; each event carries its arm

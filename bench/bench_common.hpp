@@ -18,15 +18,10 @@
 //   --clos-mapper=NAME      thread->CLOS clustering: none nearest minmax
 //                           lfoc (default nearest)
 //   --jobs=N                concurrent experiments (default: all cores)
-//   --intra-jobs=N          worker threads inside each experiment (parallel
-//                           trace-spool resolves + sharded monitor feeding;
-//                           bit-identical for any value; default 1)
 //   --trace-dir=DIR         resolved-trace spool directory (empty = off);
 //                           arms sharing a profile amortize one
 //                           generate+resolve pass; bit-identical
 //   --trace-dir-max-bytes=N LRU size cap for the spool directory (0 = none)
-//   --lockstep              arms sharing a spool identity replay one shared
-//                           decoded trace in lockstep; bit-identical
 //   --arm-retries=N         re-run a failed arm up to N times (default 0)
 //   --arm-deadline=SEC      per-arm wall-clock budget; expired arms stop at
 //                           the next interval boundary as timed_out
@@ -72,10 +67,6 @@ struct BenchOptions {
   std::vector<std::string> profiles;
   std::uint64_t seed = 42;
   unsigned jobs = 0;  // 0 -> sim::default_jobs()
-  /// Intra-experiment workers (--intra-jobs=N): parallel spool resolves and
-  /// sharded utility-monitor feeding inside each arm. Bit-identical for any
-  /// value; composes with --jobs (total threads ~ jobs x intra_jobs).
-  std::uint32_t intra_jobs = 1;
   /// Resolved-trace spool directory (--trace-dir=DIR; empty = off). See
   /// sim/trace_spool.hpp — arms sharing a workload profile pay for one
   /// generation+resolve pass; results are bit-identical either way.
@@ -83,10 +74,6 @@ struct BenchOptions {
   /// Spool-directory size cap in bytes (--trace-dir-max-bytes=N; 0 = none):
   /// LRU eviction after every spool acquisition. Needs --trace-dir.
   std::uint64_t trace_dir_max_bytes = 0;
-  /// Multi-arm lockstep replay (--lockstep): arms sharing a spool identity
-  /// decode the resolved trace once and advance interval-by-interval from
-  /// the shared buffer. Needs --trace-dir; bit-identical either way.
-  bool lockstep = false;
   /// Fault-isolation policy of the batch (--arm-retries / --arm-deadline):
   /// re-runs per failed arm, and the per-arm wall-clock budget in seconds
   /// (0 = none). See sim::BatchPolicy.

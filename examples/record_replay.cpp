@@ -62,17 +62,30 @@ int main() {
   const sim::RunOutcome live = run(live_system, std::move(recording));
 
   // --- 2. Persist the traces -------------------------------------------------
+  // Each file stores a key naming its stream; opening checks it, so a file
+  // can never be replayed as some other thread's trace.
   std::vector<std::string> paths;
+  std::vector<std::string> keys;
   for (ThreadId t = 0; t < kThreads; ++t) {
-    paths.push_back("/tmp/capart_cg_thread" + std::to_string(t) + ".trace");
-    trace::write_trace_file(paths.back(), recorders[t]->recorded());
+    paths.push_back("/tmp/capart_cg_thread" + std::to_string(t) + ".trc");
+    keys.push_back("record_replay;profile=cg;seed=11;thread=" +
+                   std::to_string(t));
+    std::vector<trace::PackedOp> packed;
+    packed.reserve(recorders[t]->recorded().size());
+    for (const trace::NextOp& op : recorders[t]->recorded()) {
+      packed.push_back(trace::pack_op(op));
+    }
+    trace::write_packed_trace_file(paths.back(), keys.back(), packed);
   }
 
   // --- 3. Replay from the files ----------------------------------------------
+  // The mapped files must outlive the replays reading them.
+  std::vector<std::unique_ptr<trace::MmapTraceFile>> files;
   std::vector<std::unique_ptr<trace::OpSource>> replaying;
-  for (const std::string& path : paths) {
-    replaying.push_back(std::make_unique<trace::TraceReplay>(
-        trace::read_trace_file(path)));
+  for (ThreadId t = 0; t < kThreads; ++t) {
+    files.push_back(trace::MmapTraceFile::open(paths[t], keys[t]));
+    replaying.push_back(std::make_unique<trace::PackedReplay>(
+        files.back()->ops(), trace::PackedReplay::OnEnd::kLoop));
   }
   sim::CmpSystem replay_system = make_system();
   const sim::RunOutcome replay = run(replay_system, std::move(replaying));

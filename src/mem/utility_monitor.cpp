@@ -9,15 +9,11 @@ namespace capart::mem {
 
 UtilityMonitor::UtilityMonitor(const CacheGeometry& geometry,
                                ThreadId num_threads,
-                               std::uint32_t sampling_shift,
-                               std::uint32_t shards)
+                               std::uint32_t sampling_shift)
     : geometry_(geometry),
       num_threads_(num_threads),
       sampling_shift_(sampling_shift),
       sampled_sets_(geometry.sets >> sampling_shift),
-      shards_(std::clamp<std::uint32_t>(shards, 1,
-                                        std::max(1u, geometry.sets >>
-                                                         sampling_shift))),
       index_kind_(geometry.resolved_index()) {
   geometry_.validate();
   CAPART_CHECK(num_threads_ >= 1, "utility monitor needs >= 1 thread");
@@ -40,12 +36,10 @@ UtilityMonitor::UtilityMonitor(const CacheGeometry& geometry,
   }
   shadow_fill_.assign(num_threads_,
                       std::vector<std::uint16_t>(sampled_sets_, 0));
-  depth_hits_.assign(
-      shards_, std::vector<std::uint64_t>(
-                   static_cast<std::size_t>(num_threads_) * geometry_.ways,
-                   0));
-  accesses_.assign(shards_, std::vector<std::uint64_t>(num_threads_, 0));
-  misses_.assign(shards_, std::vector<std::uint64_t>(num_threads_, 0));
+  depth_hits_.assign(static_cast<std::size_t>(num_threads_) * geometry_.ways,
+                     0);
+  accesses_.assign(num_threads_, 0);
+  misses_.assign(num_threads_, 0);
 }
 
 bool UtilityMonitor::sampled(std::uint64_t block,
@@ -59,28 +53,16 @@ bool UtilityMonitor::sampled(std::uint64_t block,
   return true;
 }
 
-bool UtilityMonitor::route(Addr addr, std::uint32_t& shadow_set) const noexcept {
-  return sampled(geometry_.block_of(addr), shadow_set);
-}
-
 void UtilityMonitor::observe(ThreadId thread, Addr addr) {
   CAPART_DCHECK(thread < num_threads_, "utility monitor: thread out of range");
-  std::uint32_t shadow_set = 0;
-  if (!sampled(geometry_.block_of(addr), shadow_set)) return;
-  observe_routed(shard_of(shadow_set), thread, addr, shadow_set);
-}
-
-void UtilityMonitor::observe_routed(std::uint32_t shard, ThreadId thread,
-                                    Addr addr, std::uint32_t shadow_set) {
-  CAPART_DCHECK(shard < shards_ && thread < num_threads_ &&
-                    shadow_set < sampled_sets_,
-                "utility monitor: routed observe out of range");
   const std::uint64_t block = geometry_.block_of(addr);
+  std::uint32_t shadow_set = 0;
+  if (!sampled(block, shadow_set)) return;
   CAPART_DCHECK(block != kInvalidTag,
                 "utility monitor: block collides with the empty-way tag");
-  ++accesses_[shard][thread];
+  ++accesses_[thread];
   std::uint64_t* depth_hits =
-      &depth_hits_[shard][static_cast<std::size_t>(thread) * geometry_.ways];
+      &depth_hits_[static_cast<std::size_t>(thread) * geometry_.ways];
   const std::size_t base =
       static_cast<std::size_t>(shadow_set) * geometry_.ways;
   std::uint64_t* tags = &shadow_tags_[thread][base];
@@ -101,7 +83,7 @@ void UtilityMonitor::observe_routed(std::uint32_t shard, ThreadId thread,
     order.touch(shadow_set, found);
     return;
   }
-  ++misses_[shard][thread];
+  ++misses_[thread];
   // Victim: shadow lines are never invalidated and fills always take the
   // first invalid way, so the per-set fill count is exactly the first
   // invalid way; past that, the LRU way (all valid then, so the bottom of
@@ -128,26 +110,17 @@ std::uint64_t UtilityMonitor::hits_at_depth(ThreadId thread,
                                             std::uint32_t depth) const {
   CAPART_CHECK(thread < num_threads_ && depth < geometry_.ways,
                "utility monitor: index out of range");
-  std::uint64_t total = 0;
-  for (std::uint32_t s = 0; s < shards_; ++s) {
-    total += depth_hits_[s][static_cast<std::size_t>(thread) * geometry_.ways +
-                            depth];
-  }
-  return total;
+  return depth_hits_[static_cast<std::size_t>(thread) * geometry_.ways + depth];
 }
 
 std::uint64_t UtilityMonitor::sampled_accesses(ThreadId thread) const {
   CAPART_CHECK(thread < num_threads_, "utility monitor: thread out of range");
-  std::uint64_t total = 0;
-  for (std::uint32_t s = 0; s < shards_; ++s) total += accesses_[s][thread];
-  return total;
+  return accesses_[thread];
 }
 
 std::uint64_t UtilityMonitor::sampled_misses(ThreadId thread) const {
   CAPART_CHECK(thread < num_threads_, "utility monitor: thread out of range");
-  std::uint64_t total = 0;
-  for (std::uint32_t s = 0; s < shards_; ++s) total += misses_[s][thread];
-  return total;
+  return misses_[thread];
 }
 
 double UtilityMonitor::predicted_misses(ThreadId thread,
@@ -155,17 +128,19 @@ double UtilityMonitor::predicted_misses(ThreadId thread,
   CAPART_CHECK(thread < num_threads_, "utility monitor: thread out of range");
   CAPART_CHECK(ways >= 1 && ways <= geometry_.ways,
                "utility monitor: ways out of range");
-  std::uint64_t would_miss = sampled_misses(thread);
+  const std::uint64_t* depth_hits =
+      &depth_hits_[static_cast<std::size_t>(thread) * geometry_.ways];
+  std::uint64_t would_miss = misses_[thread];
   for (std::uint32_t p = ways; p < geometry_.ways; ++p) {
-    would_miss += hits_at_depth(thread, p);
+    would_miss += depth_hits[p];
   }
   return static_cast<double>(would_miss) * scale();
 }
 
 void UtilityMonitor::reset_interval() {
-  for (auto& hist : depth_hits_) std::fill(hist.begin(), hist.end(), 0);
-  for (auto& acc : accesses_) std::fill(acc.begin(), acc.end(), 0);
-  for (auto& mis : misses_) std::fill(mis.begin(), mis.end(), 0);
+  std::fill(depth_hits_.begin(), depth_hits_.end(), 0);
+  std::fill(accesses_.begin(), accesses_.end(), 0);
+  std::fill(misses_.begin(), misses_.end(), 0);
 }
 
 }  // namespace capart::mem

@@ -34,12 +34,8 @@ CmpSystem::CmpSystem(const SystemConfig& config)
   CAPART_CHECK(config_.num_threads >= 1, "system needs at least one thread");
   std::iota(core_of_.begin(), core_of_.end(), ThreadId{0});
   if (config_.enable_utility_monitor) {
-    const std::uint32_t shards = std::max(1u, config_.monitor_shards);
     umon_ = std::make_unique<mem::UtilityMonitor>(
-        config_.l2, config_.num_threads, config_.umon_sampling_shift, shards);
-    if (shards > 1) {
-      umon_feed_ = std::make_unique<mem::ShardedUmonFeed>(*umon_, shards);
-    }
+        config_.l2, config_.num_threads, config_.umon_sampling_shift);
   }
   if (config_.l2_banks > 0) {
     bank_busy_until_.assign(config_.l2_banks, 0);
@@ -114,11 +110,7 @@ cpu::MemoryLevel CmpSystem::shared_access(ThreadId thread, Addr addr,
       bc.wait_cycles += contention_wait;
     }
   }
-  if (umon_feed_ != nullptr) {
-    umon_feed_->push(thread, addr);
-  } else if (umon_ != nullptr) {
-    umon_->observe(thread, addr);
-  }
+  if (umon_ != nullptr) umon_->observe(thread, addr);
   if (l2_->access(thread, addr, type)) {
     c.l2_hits += 1;
     return cpu::MemoryLevel::kSharedCache;
@@ -165,10 +157,6 @@ Cycles CmpSystem::memory_access_resolved(ThreadId thread, Addr addr,
                       contention_wait;
   c.exec_cycles += cost;
   return cost;
-}
-
-void CmpSystem::sync_monitor() {
-  if (umon_feed_ != nullptr) umon_feed_->drain();
 }
 
 Cycles CmpSystem::non_memory(ThreadId thread, Instructions count) {

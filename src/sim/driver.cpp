@@ -313,9 +313,6 @@ bool Driver::advance_heap() {
 }
 
 RunOutcome Driver::finalize() {
-  // Apply any utility-monitor observes still queued in the parallel feed
-  // before anyone reads end-of-run state (no-op for the serial feed).
-  system_.sync_monitor();
   RunOutcome outcome;
   for (const ThreadState& ts : threads_) {
     outcome.total_cycles = std::max(outcome.total_cycles, ts.clock);

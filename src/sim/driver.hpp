@@ -83,8 +83,8 @@ struct RunOutcome {
 class Driver {
  public:
   /// `sources` supplies one op stream per program thread — live synthetic
-  /// generators (trace::PhasedGenerator), trace replays (trace::TraceReplay),
-  /// or any other trace::OpSource implementation.
+  /// generators (trace::PhasedGenerator), packed trace replays
+  /// (trace::PackedReplay), or any other trace::OpSource implementation.
   Driver(CmpSystem& system, Program program,
          std::vector<std::unique_ptr<trace::OpSource>> sources,
          DriverConfig config);
@@ -102,9 +102,9 @@ class Driver {
   /// exhausted + finalize(), in one call.
   RunOutcome run();
 
-  // Sliced execution: the lockstep batch runner interleaves several sibling
-  // drivers interval-by-interval, so the run loop is also exposed in three
-  // stages. run() composes exactly these, and a sliced run is bit-identical
+  // Sliced execution: the run loop is also exposed in three stages, which
+  // PreparedExperiment drives one interval per call (capart_bench times each
+  // call). run() composes exactly these, and a sliced run is bit-identical
   // to a monolithic one: the scan scheduler re-derives its choice from
   // thread state every step anyway, and the heap scheduler's pop order is a
   // pure function of the (clock, tid) total order over the runnable set, so

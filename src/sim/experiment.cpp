@@ -149,7 +149,6 @@ PreparedExperiment::PreparedExperiment(
       .l2_bank_service_cycles = config_.l2_bank_service_cycles,
       .l2_enforce = config_.l2_enforce,
       .clos_budget = config_.clos_budget,
-      .monitor_shards = std::max(config_.intra_jobs, 1u),
   };
   impl_ = std::make_unique<Impl>(sys_config);
   CmpSystem& system = impl_->system;
@@ -158,13 +157,13 @@ PreparedExperiment::PreparedExperiment(
       config_.interval_instructions * config_.num_intervals;
   const Instructions per_thread = total_instructions / config_.num_threads;
 
-  // Per-thread op streams: caller-supplied replays (the lockstep runner's
-  // shared decoded trace), else resolved spool replays when a spool
-  // directory is configured and the run is eligible (bit-identical, but
-  // skips generation and private-hierarchy simulation), else streamed
-  // resolves when the run is eligible (the same resolved ops, generated on
-  // helper threads ahead of the driver), else live deterministic generators
-  // whose ops the driver resolves through the private caches itself.
+  // Per-thread op streams: caller-supplied sources, else resolved spool
+  // replays when a spool directory is configured and the run is eligible
+  // (bit-identical, but skips generation and private-hierarchy simulation),
+  // else streamed resolves when the run is eligible (the same resolved ops,
+  // generated on helper threads ahead of the driver), else live
+  // deterministic generators whose ops the driver resolves through the
+  // private caches itself.
   std::vector<std::unique_ptr<trace::OpSource>> generators =
       std::move(sources);
   if (generators.empty()) {

@@ -93,20 +93,14 @@ struct ExperimentConfig {
 
   std::uint64_t seed = 42;
 
-  /// Intra-experiment worker threads (--intra-jobs): parallel trace-spool
-  /// resolves and sharded utility-monitor feeding, synchronized at interval
-  /// boundaries. Purely an execution-resource knob like BatchOptions::jobs —
-  /// results are bit-identical for every value, and it is excluded from obs
-  /// manifests and serve spec codecs (it is not part of experiment
-  /// identity). 0/1 = serial.
-  std::uint32_t intra_jobs = 1;
-
   /// Directory for resolved-trace spool files (see sim/trace_spool.hpp);
   /// empty disables spooling and runs live generators, resolved on helper
   /// threads as the run goes (sim/streamed_resolve.hpp). Arms sharing a
   /// workload profile amortize one generation+resolve pass through this
-  /// cache; results are bit-identical with or without it. Also an
-  /// execution-resource knob, excluded from manifests and codecs.
+  /// cache; results are bit-identical with or without it. An
+  /// execution-resource knob like BatchRunner jobs: it is excluded from
+  /// obs manifests and serve spec codecs (it is not part of experiment
+  /// identity).
   std::string trace_spool_dir;
 
   /// Size cap for the spool directory (--trace-dir-max-bytes): after each
@@ -171,29 +165,28 @@ struct ExperimentResult {
 
 ExperimentResult run_experiment(const ExperimentConfig& config);
 
-/// run_experiment decomposed into prepare / advance / collect, so the
-/// lockstep batch runner can interleave sibling arms interval-by-interval
-/// (each arm is one PreparedExperiment; the group advances them round-robin
-/// from a shared decoded trace). run_experiment(config) is exactly
-/// `PreparedExperiment p(config); while (p.advance_interval()) {}
+/// run_experiment decomposed into prepare / advance / collect, so a caller
+/// can observe a run between intervals (capart_bench times each phase and
+/// every interval) or hand it its own op sources. run_experiment(config) is
+/// exactly `PreparedExperiment p(config); while (p.advance_interval()) {}
 /// return p.finalize();` — results are bit-identical however the advances
 /// are interleaved with other work, because every run owns its system,
 /// sources and RNG streams.
 ///
 /// Wall-clock accounting: each phase (construction, every advance slice,
-/// finalize) accumulates into the run's wall_seconds, so a lockstep arm
-/// reports only its own simulation time, not its siblings' — keeping
-/// BatchResult::serial_seconds honest under interleaving.
+/// finalize) accumulates into the run's wall_seconds, so time the caller
+/// spends between advances is not charged to the run.
 class PreparedExperiment {
  public:
   /// Everything before the first simulation step: validation, manifest
   /// publication, system construction, op sources, program, driver and
   /// runtime attachment. Non-empty `sources` (one per thread) override the
-  /// config's own op-source construction — the lockstep runner passes
-  /// replays of a shared decoded trace. Without them a run replays its
-  /// spool, else streams resolved ops (sim/streamed_resolve.hpp), else (on
-  /// migration runs) simulates its private caches from live generators.
-  /// Throws what run_experiment's setup throws (ConfigError and friends).
+  /// config's own op-source construction — tests and capart_bench pass
+  /// live generators, which the driver resolves through the private caches
+  /// itself. Without them a run replays its spool, else streams resolved
+  /// ops (sim/streamed_resolve.hpp), else (on migration runs) simulates its
+  /// private caches from live generators. Throws what run_experiment's
+  /// setup throws (ConfigError and friends).
   explicit PreparedExperiment(
       const ExperimentConfig& config,
       std::vector<std::unique_ptr<trace::OpSource>> sources = {});
@@ -209,10 +202,6 @@ class PreparedExperiment {
   /// Collects the result (call once, after advance_interval() returned
   /// false); publishes run-end events and hot-path metrics.
   ExperimentResult finalize();
-
-  /// Wall-clock consumed by this arm so far (prepare + advance slices);
-  /// the batch runner attributes a failed lockstep arm's cost from here.
-  double wall_so_far() const noexcept { return wall_accum_; }
 
   const ExperimentConfig& config() const noexcept { return config_; }
 

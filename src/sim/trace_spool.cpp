@@ -8,7 +8,6 @@
 #include <filesystem>
 #include <map>
 #include <mutex>
-#include <thread>
 #include <utility>
 
 #include "src/common/check.hpp"
@@ -65,37 +64,6 @@ class SpooledReplay final : public trace::OpSource {
   trace::PackedReplay replay_;
 };
 
-/// Serves one thread's stream from a DecodedTrace shared across the lockstep
-/// siblings. Same end-of-stream contract as PackedReplay's OnEnd::kAbort:
-/// fill() returns a short tail batch; a pull past the genuine end aborts.
-class DecodedReplay final : public trace::OpSource {
- public:
-  explicit DecodedReplay(std::shared_ptr<const DecodedTrace> decoded)
-      : decoded_(std::move(decoded)) {
-    CAPART_CHECK(!decoded_->ops.empty(),
-                 "trace spool: cannot replay an empty decoded trace");
-  }
-
-  trace::NextOp next() override {
-    CAPART_CHECK(position_ < decoded_->ops.size(),
-                 "trace spool: decoded replay exhausted");
-    return decoded_->ops[position_++];
-  }
-
-  std::size_t fill(trace::NextOp* out, std::size_t n) override {
-    CAPART_CHECK(position_ < decoded_->ops.size(),
-                 "trace spool: decoded replay exhausted");
-    const std::size_t take = std::min(n, decoded_->ops.size() - position_);
-    std::copy_n(decoded_->ops.data() + position_, take, out);
-    position_ += take;
-    return take;
-  }
-
- private:
-  std::shared_ptr<const DecodedTrace> decoded_;
-  std::size_t position_ = 0;
-};
-
 /// Process-wide cache of mapped spool files so the 8+ arms sharing a profile
 /// pay for one mmap (and one resolve) per thread stream. Keyed by path; the
 /// stored key string is verified against the request on every acquire.
@@ -103,15 +71,6 @@ std::mutex g_registry_mutex;
 std::map<std::string, std::shared_ptr<trace::MmapTraceFile>>& registry() {
   static auto* m =
       new std::map<std::string, std::shared_ptr<trace::MmapTraceFile>>();
-  return *m;
-}
-
-/// Decoded-trace registry (same mutex): weak references only, so decoded
-/// buffers — ~24 bytes/op, an order of magnitude bigger than the packed
-/// files' page-cache footprint — live exactly as long as some replay needs
-/// them, instead of for the process lifetime like the mapped files.
-std::map<std::string, std::weak_ptr<const DecodedTrace>>& decoded_registry() {
-  static auto* m = new std::map<std::string, std::weak_ptr<const DecodedTrace>>();
   return *m;
 }
 
@@ -173,33 +132,6 @@ std::shared_ptr<trace::MmapTraceFile> acquire_thread(
   return it->second;
 }
 
-/// Decoded variant of acquire_thread: ensures the spool entry exists (same
-/// resolve path, same registries) and returns its shared decode, unpacking
-/// at most once process-wide while any holder is alive. Concurrent first
-/// decodes of one path may briefly duplicate work; the registry keeps one.
-std::shared_ptr<const DecodedTrace> acquire_decoded(
-    const ExperimentConfig& config, const ResolveSpec& spec, ThreadId t) {
-  const std::shared_ptr<trace::MmapTraceFile> file =
-      acquire_thread(config, spec, t);
-  const std::string path = spool_path(config.trace_spool_dir,
-                                      spool_key(config, spec.per_thread, t));
-  {
-    std::lock_guard<std::mutex> lock(g_registry_mutex);
-    if (auto decoded = decoded_registry()[path].lock()) return decoded;
-  }
-  auto decoded = std::make_shared<DecodedTrace>();
-  decoded->ops.reserve(file->ops().size());
-  for (const trace::PackedOp& packed : file->ops()) {
-    decoded->ops.push_back(trace::unpack_op(packed));
-  }
-  std::shared_ptr<const DecodedTrace> shared = std::move(decoded);
-  std::lock_guard<std::mutex> lock(g_registry_mutex);
-  auto& slot = decoded_registry()[path];
-  if (auto raced = slot.lock()) return raced;
-  slot = shared;
-  return shared;
-}
-
 }  // namespace
 
 std::string spool_key(const ExperimentConfig& config, Instructions per_thread,
@@ -234,62 +166,10 @@ std::vector<std::unique_ptr<trace::OpSource>> spool_sources(
       config, trace::make_profile(config.profile, config.num_threads),
       per_thread);
 
-  std::vector<std::shared_ptr<trace::MmapTraceFile>> files(
-      config.num_threads);
-  const std::uint32_t jobs =
-      std::min<std::uint32_t>(std::max(config.intra_jobs, 1u),
-                              config.num_threads);
-  if (jobs <= 1) {
-    for (ThreadId t = 0; t < config.num_threads; ++t) {
-      files[t] = acquire_thread(config, spec, t);
-    }
-  } else {
-    // Per-thread resolves are independent (own generator fork, own private
-    // caches, own file), so they fan out across the intra-job workers.
-    std::vector<std::thread> workers;
-    std::vector<std::exception_ptr> errors(jobs);
-    workers.reserve(jobs);
-    for (std::uint32_t w = 0; w < jobs; ++w) {
-      workers.emplace_back([&, w] {
-        try {
-          for (ThreadId t = w; t < config.num_threads;
-               t += static_cast<ThreadId>(jobs)) {
-            files[t] = acquire_thread(config, spec, t);
-          }
-        } catch (...) {
-          errors[w] = std::current_exception();
-        }
-      });
-    }
-    for (std::thread& worker : workers) worker.join();
-    for (const std::exception_ptr& error : errors) {
-      if (error) std::rethrow_exception(error);
-    }
-  }
-
-  sources.reserve(config.num_threads);
-  for (ThreadId t = 0; t < config.num_threads; ++t) {
-    sources.push_back(std::make_unique<SpooledReplay>(std::move(files[t])));
-  }
-  spool_gc(config.trace_spool_dir, config.trace_spool_max_bytes);
-  return sources;
-}
-
-std::vector<std::unique_ptr<trace::OpSource>> decoded_spool_sources(
-    const ExperimentConfig& config, Instructions per_thread) {
-  std::vector<std::unique_ptr<trace::OpSource>> sources;
-  if (config.trace_spool_dir.empty() || !config.migrations.empty()) {
-    // Same eligibility rule as spool_sources: migrations rebind threads to
-    // foreign L1s mid-run, which resolved traces cannot express.
-    return sources;
-  }
-  const ResolveSpec spec = make_resolve_spec(
-      config, trace::make_profile(config.profile, config.num_threads),
-      per_thread);
   sources.reserve(config.num_threads);
   for (ThreadId t = 0; t < config.num_threads; ++t) {
     sources.push_back(
-        std::make_unique<DecodedReplay>(acquire_decoded(config, spec, t)));
+        std::make_unique<SpooledReplay>(acquire_thread(config, spec, t)));
   }
   spool_gc(config.trace_spool_dir, config.trace_spool_max_bytes);
   return sources;

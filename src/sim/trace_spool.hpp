@@ -54,35 +54,18 @@ std::string spool_key(const ExperimentConfig& config, Instructions per_thread,
 std::string spool_path(const std::string& dir, const std::string& key);
 
 /// Returns one resolved-replay OpSource per thread for `config`, resolving
-/// and writing missing spool entries first (`config.intra_jobs` resolve
-/// workers). Mapped files are cached in-process, so sibling arms pay one
-/// mmap each. Returns an empty vector when the config is ineligible for
-/// spooling (migration schedules rebind L1s mid-run). Throws capart::Error
-/// on I/O failure and ConfigError on invalid profile parameters.
+/// and writing missing spool entries first, one thread at a time. Mapped
+/// files are cached in-process, so sibling arms pay one mmap each. Returns
+/// an empty vector when the config is ineligible for spooling (migration
+/// schedules rebind L1s mid-run). Throws capart::Error on I/O failure and
+/// ConfigError on invalid profile parameters.
 std::vector<std::unique_ptr<trace::OpSource>> spool_sources(
-    const ExperimentConfig& config, Instructions per_thread);
-
-/// One thread's spool stream fully decoded to NextOps. Shared by every
-/// sibling of a lockstep group, so each 16-byte packed record is unpacked
-/// once per process instead of once per arm per replay; freed when the last
-/// replay holding it is destroyed (the process-wide decode registry keeps
-/// only weak references).
-struct DecodedTrace {
-  std::vector<trace::NextOp> ops;
-};
-
-/// Like spool_sources, but the returned replays serve from shared
-/// DecodedTrace buffers (decoding each spool file at most once at a time,
-/// process-wide) instead of unpacking mapped records on every fill. The
-/// lockstep batch runner uses this so N sibling arms pay one decode.
-/// Same eligibility rule and exceptions as spool_sources.
-std::vector<std::unique_ptr<trace::OpSource>> decoded_spool_sources(
     const ExperimentConfig& config, Instructions per_thread);
 
 /// Shrinks `dir` to at most `max_bytes` of spool (capart_*.trc) files by
 /// deleting least-recently-used entries — mtime order, oldest first;
 /// acquires refresh the mtime of entries they hit, so hot profiles survive.
-/// Files currently held by this process's registries are never deleted.
+/// Files currently held by this process's registry are never deleted.
 /// Returns the bytes deleted. `max_bytes` == 0 disables (no-op). Deletion
 /// races with concurrent producers are benign: a deleted entry regenerates
 /// on its next miss, and open file handles keep their data.

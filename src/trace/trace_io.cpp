@@ -10,8 +10,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <istream>
-#include <ostream>
 
 #include "src/common/check.hpp"
 #include "src/common/error.hpp"
@@ -19,9 +17,6 @@
 namespace capart::trace {
 namespace {
 
-constexpr std::array<char, 8> kMagic = {'C', 'A', 'P', 'T',
-                                        'R', 'A', 'C', 'E'};
-constexpr std::uint32_t kVersion = 1;
 constexpr std::uint8_t kFlagWrite = 1u << 0;
 constexpr std::uint8_t kFlagPrefetchable = 1u << 1;
 constexpr std::uint8_t kResolvedShift = 2;
@@ -45,73 +40,7 @@ std::size_t packed_records_offset(std::uint32_t key_bytes) noexcept {
   return (raw + sizeof(PackedOp) - 1) / sizeof(PackedOp) * sizeof(PackedOp);
 }
 
-template <typename T>
-void put(std::ostream& os, T value) {
-  // The simulator only targets little-endian hosts (checked implicitly by
-  // the round-trip tests); plain byte copies keep the format simple.
-  os.write(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-T get(std::istream& is) {
-  T value{};
-  is.read(reinterpret_cast<char*>(&value), sizeof(T));
-  CAPART_CHECK(is.good(), "trace: truncated input");
-  return value;
-}
-
 }  // namespace
-
-void write_trace(std::ostream& os, const std::vector<NextOp>& ops) {
-  os.write(kMagic.data(), kMagic.size());
-  put<std::uint32_t>(os, kVersion);
-  put<std::uint64_t>(os, ops.size());
-  for (const NextOp& op : ops) {
-    CAPART_CHECK(op.gap <= ~std::uint32_t{0}, "trace: gap exceeds 32 bits");
-    put<std::uint32_t>(os, static_cast<std::uint32_t>(op.gap));
-    put<std::uint64_t>(os, op.addr);
-    std::uint8_t flags = 0;
-    if (op.type == AccessType::kWrite) flags |= kFlagWrite;
-    if (op.prefetchable) flags |= kFlagPrefetchable;
-    put<std::uint8_t>(os, flags);
-  }
-  CAPART_CHECK(os.good(), "trace: write failed");
-}
-
-std::vector<NextOp> read_trace(std::istream& is) {
-  std::array<char, 8> magic{};
-  is.read(magic.data(), magic.size());
-  CAPART_CHECK(is.good() && magic == kMagic, "trace: bad magic");
-  const auto version = get<std::uint32_t>(is);
-  CAPART_CHECK(version == kVersion, "trace: unsupported version");
-  const auto count = get<std::uint64_t>(is);
-  std::vector<NextOp> ops;
-  ops.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    NextOp op;
-    op.gap = get<std::uint32_t>(is);
-    op.addr = get<std::uint64_t>(is);
-    const auto flags = get<std::uint8_t>(is);
-    op.type = (flags & kFlagWrite) != 0 ? AccessType::kWrite
-                                        : AccessType::kRead;
-    op.prefetchable = (flags & kFlagPrefetchable) != 0;
-    ops.push_back(op);
-  }
-  return ops;
-}
-
-void write_trace_file(const std::string& path,
-                      const std::vector<NextOp>& ops) {
-  std::ofstream os(path, std::ios::binary);
-  CAPART_CHECK(os.is_open(), "trace: cannot open file for writing");
-  write_trace(os, ops);
-}
-
-std::vector<NextOp> read_trace_file(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  CAPART_CHECK(is.is_open(), "trace: cannot open file for reading");
-  return read_trace(is);
-}
 
 PackedOp pack_op(const NextOp& op) noexcept {
   CAPART_DCHECK(op.gap <= ~std::uint32_t{0}, "trace: gap exceeds 32 bits");
@@ -193,8 +122,11 @@ PackedHeader validate_packed_header(const std::string& path, const char* data,
   if (header.magic != kPackedMagic || header.version != kPackedVersion) {
     throw Error("trace: " + path + " is not a v2 packed trace");
   }
+  // Compare counts, not byte sizes: a corrupt count times the record size
+  // can wrap 64 bits and pass a byte-size check.
   const std::size_t offset = packed_records_offset(header.key_bytes);
-  if (file_bytes < offset + header.count * sizeof(PackedOp)) {
+  if (offset > file_bytes ||
+      header.count > (file_bytes - offset) / sizeof(PackedOp)) {
     throw Error("trace: " + path + " is truncated");
   }
   CAPART_CHECK(bytes >= sizeof(header) + header.key_bytes,
@@ -311,34 +243,6 @@ std::size_t PackedReplay::fill(NextOp* out, std::size_t n) {
   const PackedOp* records = ops_.data() + position_;
   std::size_t i = 0;
   for (; i < take && i < available; ++i) out[i] = unpack_op(records[i]);
-  position_ += i;
-  for (; i < take; ++i) out[i] = next();  // kLoop wrap-around tail
-  return take;
-}
-
-TraceReplay::TraceReplay(std::vector<NextOp> ops, OnEnd on_end)
-    : ops_(std::move(ops)), on_end_(on_end) {
-  CAPART_CHECK(!ops_.empty(), "trace: cannot replay an empty trace");
-}
-
-NextOp TraceReplay::next() {
-  if (position_ >= ops_.size()) {
-    CAPART_CHECK(on_end_ == OnEnd::kLoop, "trace: replay exhausted");
-    position_ = 0;
-  }
-  return ops_[position_++];
-}
-
-std::size_t TraceReplay::fill(NextOp* out, std::size_t n) {
-  if (position_ >= ops_.size()) {
-    CAPART_CHECK(on_end_ == OnEnd::kLoop, "trace: replay exhausted");
-    position_ = 0;
-  }
-  const std::size_t available = ops_.size() - position_;
-  const std::size_t take = on_end_ == OnEnd::kAbort ? std::min(n, available)
-                                                    : n;
-  std::size_t i = 0;
-  for (; i < take && i < available; ++i) out[i] = ops_[position_ + i];
   position_ += i;
   for (; i < take; ++i) out[i] = next();  // kLoop wrap-around tail
   return take;

@@ -6,28 +6,20 @@
 // keeping every other part of the simulator identical. Record/replay of the
 // same run is bit-exact.
 //
-// Two formats:
-//
-//   v1 (write_trace / read_trace): the historical stream format —
-//   little-endian, 8-byte magic "CAPTRACE", u32 version, u64 record count,
-//   then per record: u32 gap, u64 address, u8 flags (bit 0 = write, bit 1 =
-//   prefetchable). Compact (13 bytes/record) but unaligned, so reading
-//   materializes a std::vector<NextOp>.
-//
-//   v2 (write_packed_trace_file / MmapTraceFile): the throughput format the
-//   trace spool uses. Records are fixed 16-byte PackedOp structs laid out so
-//   a file can be mmap()ed and cast — replay reads straight from the page
-//   cache with no decode pass and no per-run copy, which is what lets every
-//   arm sharing a workload profile amortize one generation+resolve pass.
-//   Header: 8-byte magic "CAPTRCV2", u32 version, u32 key length, u64 record
-//   count, the key string (an arbitrary caller identity string, verified on
-//   open so hash-named spool files can never be confused across
-//   configurations), zero-padded to a 16-byte boundary, then the records.
+// The format (CAPTRCV2, written by write_packed_trace_file and read by
+// MmapTraceFile) is also what the trace spool uses. Records are fixed
+// 16-byte PackedOp structs laid out so a file can be mmap()ed and cast —
+// replay reads straight from the page cache with no decode pass and no
+// per-run copy, which is what lets every arm sharing a workload profile
+// amortize one generation+resolve pass. Header: 8-byte magic "CAPTRCV2",
+// u32 version, u32 key length, u64 record count, the key string (an
+// arbitrary caller identity string, verified on open so hash-named spool
+// files can never be confused across configurations), zero-padded to a
+// 16-byte boundary, then the records.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <span>
 #include <string>
@@ -37,17 +29,7 @@
 
 namespace capart::trace {
 
-/// Serializes `ops` to a stream (v1 format).
-void write_trace(std::ostream& os, const std::vector<NextOp>& ops);
-
-/// Deserializes a stream written by write_trace. Aborts on malformed input.
-std::vector<NextOp> read_trace(std::istream& is);
-
-/// Convenience file wrappers (abort when the file cannot be opened).
-void write_trace_file(const std::string& path, const std::vector<NextOp>& ops);
-std::vector<NextOp> read_trace_file(const std::string& path);
-
-/// One v2 record: a NextOp packed into 16 aligned bytes so record arrays can
+/// One record: a NextOp packed into 16 aligned bytes so record arrays can
 /// be written and mapped verbatim. Flags: bit 0 = write, bit 1 =
 /// prefetchable, bits 2-3 = ResolvedLevel.
 struct PackedOp {
@@ -61,17 +43,17 @@ static_assert(sizeof(PackedOp) == 16, "PackedOp must stay mmap-castable");
 PackedOp pack_op(const NextOp& op) noexcept;
 NextOp unpack_op(const PackedOp& packed) noexcept;
 
-/// Writes a v2 packed trace. The write goes to a sibling temporary file
+/// Writes a packed trace. The write goes to a sibling temporary file
 /// first and is renamed into place, so concurrent producers of the same
 /// spool entry can never expose a torn file (both write identical bytes;
 /// last rename wins). Throws capart::Error on I/O failure.
 void write_packed_trace_file(const std::string& path, const std::string& key,
                              std::span<const PackedOp> ops);
 
-/// A read-only v2 trace, mmap()ed when the platform allows it and otherwise
-/// stream-read into an owned buffer (same records, same validation — only
-/// the residence differs). The backing storage lives as long as the object;
-/// replay sources hold a shared_ptr to it.
+/// A read-only packed trace, mmap()ed when the platform allows it and
+/// otherwise stream-read into an owned buffer (same records, same
+/// validation — only the residence differs). The backing storage lives as
+/// long as the object; replay sources hold a shared_ptr to it.
 class MmapTraceFile {
  public:
   /// Opens `path`; returns nullptr when the file does not exist. Throws
@@ -108,7 +90,7 @@ class MmapTraceFile {
   std::string key_;
 };
 
-/// Replays a v2 packed record span (zero-copy: unpacks records on the fly in
+/// Replays a packed record span (zero-copy: unpacks records on the fly in
 /// fill()). Does not own the records; the owner (an MmapTraceFile or a
 /// vector) must outlive it — the trace spool hands out shared ownership.
 class PackedReplay final : public OpSource {
@@ -158,29 +140,6 @@ class TraceRecorder final : public OpSource {
  private:
   OpSource& inner_;
   std::vector<NextOp> recorded_;
-};
-
-/// Replays a recorded trace. When the trace runs out it either loops (the
-/// default — programs are steady-state) or aborts, per `OnEnd`.
-class TraceReplay final : public OpSource {
- public:
-  enum class OnEnd : std::uint8_t { kLoop, kAbort };
-
-  explicit TraceReplay(std::vector<NextOp> ops, OnEnd on_end = OnEnd::kLoop);
-
-  NextOp next() override;
-
-  /// Batched refill; under OnEnd::kAbort the tail batch comes back short
-  /// (the abort fires only when a pull starts past the end).
-  std::size_t fill(NextOp* out, std::size_t n) override;
-
-  std::size_t size() const noexcept { return ops_.size(); }
-  std::size_t position() const noexcept { return position_; }
-
- private:
-  std::vector<NextOp> ops_;
-  std::size_t position_ = 0;
-  OnEnd on_end_;
 };
 
 }  // namespace capart::trace

@@ -9,6 +9,7 @@
 #include "tests/expect_config_error.hpp"
 
 #include <atomic>
+#include <filesystem>
 #include <stdexcept>
 #include <string>
 
@@ -105,6 +106,56 @@ TEST(BatchRunner, ParallelResultsAreBitIdenticalToSerial) {
       expect_identical(serial.arms[i].result, parallel.arms[i].result);
     }
   }
+}
+
+// Arms sharing a workload profile share one spool entry per thread: run
+// concurrently, they map (and on a miss race to write) the same files.
+// Every arm must still match the serial live batch, and the directory ends
+// up holding only the finished entries, no writer's temp file.
+TEST(BatchRunner, SpooledParallelBatchMatchesSerialLiveBatch) {
+  // The process keeps every spool entry it mapped, keyed by path, so a
+  // repeat of this test in the same process gets a directory of its own.
+  static int invocation = 0;
+  const std::string dir = ::testing::TempDir() + "/capart_batch_spool_" +
+                          std::to_string(invocation++);
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  ExperimentSpec live = figure_shaped_spec(99);
+  for (const std::string& profile : {std::string("cg"), std::string("mgrid"),
+                                     std::string("swim")}) {
+    ExperimentConfig ucp = small(profile, 99);
+    ucp.policy = "ucp";
+    live.add(profile + "/ucp", ucp);
+  }
+  ExperimentSpec spooled;
+  spooled.name = live.name;
+  for (const ExperimentArm& arm : live.arms) {
+    ExperimentConfig cfg = arm.config;
+    cfg.trace_spool_dir = dir;
+    spooled.add(arm.name, cfg);
+  }
+
+  const BatchResult serial = BatchRunner(1).run(live);
+  const BatchResult parallel = BatchRunner(3).run(spooled);
+  ASSERT_TRUE(serial.all_ok());
+  ASSERT_TRUE(parallel.all_ok());
+  ASSERT_EQ(parallel.arms.size(), serial.arms.size());
+  for (std::size_t i = 0; i < serial.arms.size(); ++i) {
+    EXPECT_EQ(parallel.arms[i].name, serial.arms[i].name);
+    expect_identical(serial.arms[i].result, parallel.arms[i].result);
+  }
+
+  std::size_t entries = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    EXPECT_EQ(name.rfind("capart_", 0), 0u) << name;
+    EXPECT_EQ(entry.path().extension(), ".trc") << name;
+    EXPECT_EQ(name.find(".tmp."), std::string::npos) << name;
+    ++entries;
+  }
+  // Three profiles x one resolved stream per thread.
+  EXPECT_EQ(entries, 3u * live.arms.front().config.num_threads);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(BatchRunner, ResultsComeBackInSpecOrder) {

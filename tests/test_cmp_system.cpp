@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/rng.hpp"
+
 namespace capart::sim {
 namespace {
 
@@ -202,6 +204,41 @@ TEST(CmpSystem, ContentionDisabledByDefault) {
                                           false, 100);
   EXPECT_EQ(second, 1u + 200u);
   EXPECT_EQ(sys.counters().thread(1).contention_wait_cycles, 0u);
+}
+
+// The utility monitor is fed synchronously from the shared-cache access
+// path: every access that reaches the shared cache (simulated or resolved)
+// is in the monitor's counters before the next access, and private-level
+// hits never are.
+TEST(CmpSystem, UtilityMonitorObservesEverySharedAccess) {
+  EXPECT_EQ(CmpSystem(small_config()).utility_monitor(), nullptr);
+  SystemConfig cfg = small_config();
+  cfg.enable_utility_monitor = true;
+  cfg.umon_sampling_shift = 0;  // monitor every set
+  CmpSystem sys(cfg);
+  const mem::UtilityMonitor* umon = sys.utility_monitor();
+  ASSERT_NE(umon, nullptr);
+
+  Rng rng(17);
+  for (int i = 0; i < 2'000; ++i) {
+    const auto t = static_cast<ThreadId>(rng.below(2));
+    const Addr addr = 64 * rng.below(48);
+    if (i % 3 == 0) {
+      // Resolved ops: an L1 hit stays private, a shared op reaches the L2.
+      const trace::ResolvedLevel level = rng.below(2) == 0
+                                             ? trace::ResolvedLevel::kL1Hit
+                                             : trace::ResolvedLevel::kShared;
+      sys.memory_access_resolved(t, addr, AccessType::kRead, false, level, 0);
+    } else {
+      sys.memory_access(t, addr, AccessType::kRead);
+    }
+    for (ThreadId u = 0; u < 2; ++u) {
+      ASSERT_EQ(umon->sampled_accesses(u), sys.counters().thread(u).l2_accesses)
+          << "access " << i << " thread " << u;
+    }
+  }
+  EXPECT_GT(sys.counters().thread(0).l1_accesses,
+            sys.counters().thread(0).l2_accesses);
 }
 
 TEST(CmpSystem, RejectsOutOfRangeThread) {

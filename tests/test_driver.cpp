@@ -239,6 +239,67 @@ TEST(Driver, HeapSchedulerIsBitIdenticalToScan) {
   }
 }
 
+// The sliced run loop PreparedExperiment drives: each advance_interval()
+// that returns true has fired exactly one more interval boundary, and the
+// sliced run ends where the monolithic run() does, under both schedulers.
+TEST(Driver, EachAdvanceFiresExactlyOneBoundary) {
+  for (const SchedulerKind scheduler :
+       {SchedulerKind::kScan, SchedulerKind::kHeap}) {
+    const auto make = [scheduler](CmpSystem& sys,
+                                  std::vector<std::uint64_t>& fired) {
+      const ThreadId n = 8;
+      Sources gens;
+      for (ThreadId t = 0; t < n; ++t) {
+        gens.push_back(t % 2 == 0 ? generator(t, 0.05)
+                                  : generator(t, 0.5, 2'048));
+      }
+      DriverConfig dc;
+      dc.interval_instructions = 20'000;
+      dc.scheduler = scheduler;
+      dc.barrier_group = {0, 0, 0, 0, 1, 1, 1, 1};
+      auto driver = std::make_unique<Driver>(
+          sys, make_uniform_program(n, 6, 15'000), std::move(gens), dc);
+      driver->set_interval_callback([&fired](std::uint64_t index) -> Cycles {
+        fired.push_back(index);
+        return 250;
+      });
+      return driver;
+    };
+    const char* what =
+        scheduler == SchedulerKind::kScan ? "scan" : "heap";
+
+    CmpSystem whole_sys(config(8));
+    std::vector<std::uint64_t> whole_fired;
+    const RunOutcome whole = make(whole_sys, whole_fired)->run();
+
+    CmpSystem sliced_sys(config(8));
+    std::vector<std::uint64_t> sliced_fired;
+    const std::unique_ptr<Driver> sliced = make(sliced_sys, sliced_fired);
+    sliced->begin();
+    std::uint64_t advances = 0;
+    while (sliced->advance_interval()) {
+      ++advances;
+      ASSERT_EQ(sliced_fired.size(), advances) << what;
+      EXPECT_EQ(sliced_fired.back(), advances - 1) << what;
+    }
+    const RunOutcome out = sliced->finalize();
+
+    EXPECT_EQ(sliced_fired, whole_fired) << what;
+    EXPECT_EQ(advances, whole.intervals_completed) << what;
+    EXPECT_EQ(out.total_cycles, whole.total_cycles) << what;
+    EXPECT_EQ(out.intervals_completed, whole.intervals_completed) << what;
+    EXPECT_EQ(out.instructions_retired, whole.instructions_retired) << what;
+    for (ThreadId t = 0; t < 8; ++t) {
+      EXPECT_EQ(sliced_sys.counters().thread(t).exec_cycles,
+                whole_sys.counters().thread(t).exec_cycles)
+          << what << " thread " << t;
+      EXPECT_EQ(sliced_sys.counters().thread(t).l2_misses,
+                whole_sys.counters().thread(t).l2_misses)
+          << what << " thread " << t;
+    }
+  }
+}
+
 TEST(Driver, AutoSchedulerMatchesScanAtSmallThreadCounts) {
   // kAuto stays on the scan for <= 4 threads and must equal an explicit
   // kHeap run regardless (the dispatch is outcome-invariant either way).

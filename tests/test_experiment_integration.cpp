@@ -9,6 +9,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <filesystem>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "src/trace/benchmarks.hpp"
 
@@ -207,6 +211,84 @@ TEST(Experiment, RejectsDegenerateConfigs) {
 TEST(Experiment, RegionBasesAreDisjoint) {
   EXPECT_NE(private_region_base(0), private_region_base(1));
   EXPECT_GT(shared_region_base(), private_region_base(63));
+}
+
+void expect_identical(const ExperimentResult& a, const ExperimentResult& b,
+                      const std::string& what) {
+  EXPECT_EQ(a.outcome.total_cycles, b.outcome.total_cycles) << what;
+  EXPECT_EQ(a.outcome.intervals_completed, b.outcome.intervals_completed)
+      << what;
+  EXPECT_EQ(a.outcome.instructions_retired, b.outcome.instructions_retired)
+      << what;
+  ASSERT_EQ(a.intervals.size(), b.intervals.size()) << what;
+  for (std::size_t i = 0; i < a.intervals.size(); ++i) {
+    ASSERT_EQ(a.intervals[i].threads.size(), b.intervals[i].threads.size());
+    for (std::size_t t = 0; t < a.intervals[i].threads.size(); ++t) {
+      EXPECT_EQ(a.intervals[i].threads[t].exec_cycles,
+                b.intervals[i].threads[t].exec_cycles)
+          << what << " interval " << i << " thread " << t;
+      EXPECT_EQ(a.intervals[i].threads[t].l2_misses,
+                b.intervals[i].threads[t].l2_misses)
+          << what << " interval " << i << " thread " << t;
+      EXPECT_EQ(a.intervals[i].threads[t].ways,
+                b.intervals[i].threads[t].ways)
+          << what << " interval " << i << " thread " << t;
+    }
+  }
+}
+
+TEST(Experiment, PreparedRunStepsOneIntervalPerAdvance) {
+  const ExperimentConfig cfg = small("cg");
+  PreparedExperiment prepared(cfg);
+  std::uint64_t advances = 0;
+  while (prepared.advance_interval()) ++advances;
+  const ExperimentResult stepped = prepared.finalize();
+  // Each call runs one interval and returns true; one more call finds the
+  // program finished and returns false.
+  EXPECT_EQ(advances, cfg.num_intervals);
+  EXPECT_EQ(stepped.outcome.intervals_completed, cfg.num_intervals);
+  EXPECT_EQ(stepped.intervals.size(), cfg.num_intervals);
+  EXPECT_GT(stepped.wall_seconds, 0.0);
+  expect_identical(stepped, run_experiment(cfg), "stepped");
+}
+
+// PreparedExperiment's contract: a run owns its system, sources and RNG
+// streams, so advancing several runs round-robin on one thread (live
+// streamed-resolve runs with helpers in flight next to a spooled replay)
+// leaves each bit-identical to running it alone.
+TEST(Experiment, InterleavedPreparedRunsMatchTheirSoloRuns) {
+  const std::string dir = ::testing::TempDir() + "/capart_interleaved";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  std::vector<ExperimentConfig> configs;
+  configs.push_back(small("cg"));
+  ExperimentConfig ucp = small("ft");
+  ucp.policy = "ucp";
+  configs.push_back(ucp);
+  ExperimentConfig spooled = small("mgrid");
+  spooled.l2_mode = mem::L2Mode::kSharedUnpartitioned;
+  spooled.policy = "none";
+  spooled.trace_spool_dir = dir;
+  configs.push_back(spooled);
+
+  std::vector<std::unique_ptr<PreparedExperiment>> runs;
+  for (const ExperimentConfig& cfg : configs) {
+    runs.push_back(std::make_unique<PreparedExperiment>(cfg));
+  }
+  std::vector<bool> live(runs.size(), true);
+  for (std::size_t left = runs.size(); left > 0;) {
+    for (std::size_t r = 0; r < runs.size(); ++r) {
+      if (live[r] && !runs[r]->advance_interval()) {
+        live[r] = false;
+        --left;
+      }
+    }
+  }
+  for (std::size_t r = 0; r < runs.size(); ++r) {
+    expect_identical(runs[r]->finalize(), run_experiment(configs[r]),
+                     configs[r].profile);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

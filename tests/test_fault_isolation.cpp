@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -141,6 +142,86 @@ TEST(FaultIsolation, RetriesRecoverATransientFault) {
 
   // The retried result is the clean result — attempts share no state.
   expect_identical(arm.result, run_experiment(small("cg")));
+}
+
+std::string fresh_dir(const std::string& name) {
+  const std::string dir = ::testing::TempDir() + "/" + name;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
+// Arms sharing a spool entry are independent readers of the same files: an
+// arm that throws mid-replay is contained like any failed arm, and the
+// siblings replaying those files complete bit-identically to a live batch
+// that never held it.
+TEST(FaultIsolation, FaultMidReplayLeavesSpoolSiblingsBitIdentical) {
+  const std::string dir = fresh_dir("capart_fault_spool");
+  FaultInjector injector;
+  injector.add({.arm = "cg/poisoned", .interval = 3, .message = "mid-replay"});
+
+  ExperimentConfig model = small("cg");
+  model.trace_spool_dir = dir;
+  ExperimentConfig poisoned = model;
+  poisoned.policy = "ucp";
+  poisoned.obs.run_name = "cg/poisoned";
+  poisoned.fault = &injector;
+  ExperimentConfig shared = model;
+  shared.l2_mode = mem::L2Mode::kSharedUnpartitioned;
+  shared.policy = "none";
+  ExperimentSpec spec;
+  spec.add("cg/model", model).add("cg/poisoned", poisoned).add("cg/shared",
+                                                               shared);
+
+  const BatchResult batch = BatchRunner(2).run(spec);
+  EXPECT_EQ(injector.fires(), 1u);
+  const ArmOutcome& bad = batch.outcome("cg/poisoned");
+  EXPECT_EQ(bad.status, ArmStatus::kFailed);
+  EXPECT_NE(bad.error.find("mid-replay"), std::string::npos);
+
+  ExperimentSpec clean;
+  ExperimentConfig clean_shared = small("cg");
+  clean_shared.l2_mode = mem::L2Mode::kSharedUnpartitioned;
+  clean_shared.policy = "none";
+  clean.add("cg/model", small("cg")).add("cg/shared", clean_shared);
+  const BatchResult reference = BatchRunner(1).run(clean);
+  ASSERT_TRUE(reference.all_ok());
+  for (const ArmOutcome& arm : reference.arms) {
+    const ArmOutcome& survivor = batch.outcome(arm.name);
+    EXPECT_EQ(survivor.status, ArmStatus::kOk) << arm.name;
+    expect_identical(survivor.result, arm.result);
+  }
+}
+
+// A retried spooled arm replays the entries its failed attempt left behind
+// and lands on the clean live result.
+TEST(FaultIsolation, RetriedSpooledArmMatchesACleanLiveRun) {
+  const std::string dir = fresh_dir("capart_fault_spool_retry");
+  FaultInjector injector;
+  injector.add({.arm = "cg/flaky", .interval = 2, .times = 1});
+
+  ExperimentConfig flaky = small("cg");
+  flaky.policy = "ucp";
+  flaky.trace_spool_dir = dir;
+  flaky.obs.run_name = "cg/flaky";
+  flaky.fault = &injector;
+  obs::MetricsRegistry metrics;
+  flaky.obs.metrics = &metrics;
+  ExperimentSpec spec;
+  spec.add("cg/flaky", flaky);
+
+  const BatchResult batch =
+      BatchRunner(1, BatchPolicy{.max_retries = 2}).run(spec);
+  EXPECT_EQ(injector.fires(), 1u);
+  const ArmOutcome& arm = batch.outcome("cg/flaky");
+  EXPECT_EQ(arm.status, ArmStatus::kOk);
+  EXPECT_EQ(arm.retries, 1u);
+  EXPECT_EQ(metrics.counter("batch/arm_retries"), 1u);
+  EXPECT_EQ(metrics.counter("batch/arms_completed"), 1u);
+
+  ExperimentConfig clean = small("cg");
+  clean.policy = "ucp";
+  expect_identical(arm.result, run_experiment(clean));
 }
 
 TEST(FaultIsolation, ExhaustedRetriesReportTheArmAsFailed) {

@@ -156,17 +156,23 @@ TEST(StreamedResolve, MatchesUnresolvedAndSpooledAcrossTheMatrix) {
               static_cast<unsigned long long>(base_seed));
   const std::string dir = fresh_dir("capart_streamed_matrix");
   std::mt19937_64 mix(base_seed);
-  for (const mem::ReplacementKind repl : kRepls) {
-    for (const EnforceMode& mode : kModes) {
-      ExperimentConfig cfg = small("cg", mix());
-      cfg.l2_mode = mode.l2_mode;
-      cfg.l2_enforce = mode.enforce;
-      cfg.l2.repl = repl;
-      cfg.l1.repl = repl;
-      expect_three_paths_agree(cfg, dir,
-                               std::string(mem::to_string(repl)) + "/" +
-                                   mode.name + " seed=" +
-                                   std::to_string(cfg.seed));
+  // ucp reads the shadow-tag utility monitor, which observes every shared
+  // access the replayed streams make.
+  for (const char* policy : {"model-based", "ucp"}) {
+    for (const mem::ReplacementKind repl : kRepls) {
+      for (const EnforceMode& mode : kModes) {
+        ExperimentConfig cfg = small("cg", mix());
+        cfg.policy = policy;
+        cfg.l2_mode = mode.l2_mode;
+        cfg.l2_enforce = mode.enforce;
+        cfg.l2.repl = repl;
+        cfg.l1.repl = repl;
+        expect_three_paths_agree(cfg, dir,
+                                 std::string(policy) + "/" +
+                                     std::string(mem::to_string(repl)) + "/" +
+                                     mode.name + " seed=" +
+                                     std::to_string(cfg.seed));
+      }
     }
   }
 }
@@ -287,10 +293,17 @@ TEST(StreamedResolve, CancelMidRunUnwindsWithHelpersInFlight) {
     firer.join();
   }
 
-  // Nothing is left poisoned: a clean run still matches the reference.
+  // Nothing is left poisoned: a clean run still matches the reference, and
+  // so does a spooled retry of the same shape, which resolves, replays and
+  // completes.
   cfg.cancel = nullptr;
   cfg.num_intervals = 6;
-  expect_identical(run_unresolved(cfg), run_experiment(cfg), "after cancel");
+  const ExperimentResult reference = run_unresolved(cfg);
+  expect_identical(reference, run_experiment(cfg), "after cancel");
+  const ExperimentResult spooled =
+      run_spooled(cfg, fresh_dir("capart_streamed_cancel"));
+  EXPECT_EQ(spooled.intervals.size(), 6u);
+  expect_identical(reference, spooled, "spooled after cancel");
 }
 
 TEST(StreamedResolve, HelperExceptionSurfacesFromFill) {

@@ -5,10 +5,11 @@
 
 #include <atomic>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <span>
-#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -33,54 +34,6 @@ std::vector<NextOp> sample_ops() {
   };
 }
 
-TEST(TraceIo, RoundTripPreservesEveryField) {
-  std::stringstream buffer;
-  write_trace(buffer, sample_ops());
-  const std::vector<NextOp> back = read_trace(buffer);
-  const std::vector<NextOp> expected = sample_ops();
-  ASSERT_EQ(back.size(), expected.size());
-  for (std::size_t i = 0; i < back.size(); ++i) {
-    EXPECT_EQ(back[i].gap, expected[i].gap);
-    EXPECT_EQ(back[i].addr, expected[i].addr);
-    EXPECT_EQ(back[i].type, expected[i].type);
-    EXPECT_EQ(back[i].prefetchable, expected[i].prefetchable);
-  }
-}
-
-TEST(TraceIo, EmptyTraceRoundTrips) {
-  std::stringstream buffer;
-  write_trace(buffer, {});
-  EXPECT_TRUE(read_trace(buffer).empty());
-}
-
-TEST(TraceIo, RejectsBadMagic) {
-  std::stringstream buffer;
-  buffer << "NOTATRACEFILE.....";
-  EXPECT_DEATH(read_trace(buffer), "bad magic");
-}
-
-TEST(TraceIo, RejectsTruncatedInput) {
-  std::stringstream buffer;
-  write_trace(buffer, sample_ops());
-  const std::string whole = buffer.str();
-  std::stringstream truncated(whole.substr(0, whole.size() - 5));
-  EXPECT_DEATH(read_trace(truncated), "truncated");
-}
-
-TEST(TraceIo, FileRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/capart_trace_test.bin";
-  write_trace_file(path, sample_ops());
-  const std::vector<NextOp> back = read_trace_file(path);
-  EXPECT_EQ(back.size(), 3u);
-  EXPECT_EQ(back[1].addr, 0xdeadbeef40u);
-  std::remove(path.c_str());
-}
-
-TEST(TraceIo, MissingFileAborts) {
-  EXPECT_DEATH(read_trace_file("/nonexistent/path/trace.bin"),
-               "cannot open");
-}
-
 TEST(TraceRecorder, CapturesThePassthroughStream) {
   trace::Phase phase;
   phase.params.working_set_blocks = 64;
@@ -92,80 +45,6 @@ TEST(TraceRecorder, CapturesThePassthroughStream) {
   ASSERT_EQ(recorder.recorded().size(), 100u);
   for (std::size_t i = 0; i < seen.size(); ++i) {
     EXPECT_EQ(recorder.recorded()[i].addr, seen[i].addr);
-  }
-}
-
-TEST(TraceReplay, ReplaysInOrderAndLoops) {
-  TraceReplay replay(sample_ops(), TraceReplay::OnEnd::kLoop);
-  EXPECT_EQ(replay.next().addr, 0x1000u);
-  EXPECT_EQ(replay.next().addr, 0xdeadbeef40u);
-  replay.next();
-  // Wrapped around.
-  EXPECT_EQ(replay.next().addr, 0x1000u);
-}
-
-TEST(TraceReplay, AbortModeDiesOnExhaustion) {
-  TraceReplay replay(sample_ops(), TraceReplay::OnEnd::kAbort);
-  replay.next();
-  replay.next();
-  replay.next();
-  EXPECT_DEATH(replay.next(), "exhausted");
-}
-
-TEST(TraceReplay, RejectsEmptyTrace) {
-  EXPECT_DEATH(TraceReplay({}, TraceReplay::OnEnd::kLoop), "empty trace");
-}
-
-TEST(TraceReplay, RecordedRunReplaysBitExactly) {
-  // Record a live two-thread run, then drive an identical system from the
-  // recorded traces: cycle-for-cycle identical results.
-  auto make_system = [] {
-    sim::SystemConfig cfg;
-    cfg.num_threads = 2;
-    cfg.l1 = {.sets = 4, .ways = 2, .line_bytes = 64};
-    cfg.l2 = {.sets = 16, .ways = 8, .line_bytes = 64};
-    return cfg;
-  };
-  auto make_generator = [](ThreadId t) {
-    trace::Phase phase;
-    phase.params.working_set_blocks = 512;
-    phase.params.mem_ratio = 0.3;
-    return std::make_unique<PhasedGenerator>(
-        PhaseSchedule({phase}), Rng(40 + t), (Addr{t} + 1) << 40,
-        Addr{1} << 50);
-  };
-
-  // Live run with recorders wrapped around the generators.
-  std::vector<std::unique_ptr<PhasedGenerator>> inner;
-  inner.push_back(make_generator(0));
-  inner.push_back(make_generator(1));
-  std::vector<std::unique_ptr<OpSource>> recording;
-  recording.push_back(std::make_unique<TraceRecorder>(*inner[0]));
-  recording.push_back(std::make_unique<TraceRecorder>(*inner[1]));
-  auto* rec0 = static_cast<TraceRecorder*>(recording[0].get());
-  auto* rec1 = static_cast<TraceRecorder*>(recording[1].get());
-
-  sim::CmpSystem live_system(make_system());
-  sim::Driver live(live_system, sim::make_uniform_program(2, 3, 10'000),
-                   std::move(recording), {});
-  const sim::RunOutcome live_out = live.run();
-
-  // Replay run.
-  std::vector<std::unique_ptr<OpSource>> replaying;
-  replaying.push_back(std::make_unique<TraceReplay>(rec0->take()));
-  replaying.push_back(std::make_unique<TraceReplay>(rec1->take()));
-  sim::CmpSystem replay_system(make_system());
-  sim::Driver replay(replay_system, sim::make_uniform_program(2, 3, 10'000),
-                     std::move(replaying), {});
-  const sim::RunOutcome replay_out = replay.run();
-
-  EXPECT_EQ(replay_out.total_cycles, live_out.total_cycles);
-  EXPECT_EQ(replay_out.instructions_retired, live_out.instructions_retired);
-  for (ThreadId t = 0; t < 2; ++t) {
-    EXPECT_EQ(replay_system.counters().thread(t).exec_cycles,
-              live_system.counters().thread(t).exec_cycles);
-    EXPECT_EQ(replay_system.counters().thread(t).l2_misses,
-              live_system.counters().thread(t).l2_misses);
   }
 }
 
@@ -271,6 +150,220 @@ TEST(PackedTrace, MalformedFileThrows) {
   std::remove(path.c_str());
 }
 
+TEST(PackedTrace, EmptyTraceRoundTrips) {
+  const std::string path = ::testing::TempDir() + "/capart_v2_empty.trc";
+  write_packed_trace_file(path, "k", {});
+  for (const bool stream : {false, true}) {
+    MmapTraceFile::force_stream_io_for_testing(stream);
+    std::unique_ptr<MmapTraceFile> file = MmapTraceFile::open(path, "k");
+    ASSERT_NE(file, nullptr);
+    EXPECT_EQ(file->streamed(), stream);
+    EXPECT_TRUE(file->ops().empty());
+  }
+  MmapTraceFile::force_stream_io_for_testing(false);
+  std::remove(path.c_str());
+  // There is nothing to replay in an empty trace.
+  EXPECT_DEATH(PackedReplay(std::span<const PackedOp>{}), "empty");
+}
+
+// The header's record count is external input: a count larger than the
+// file holds must be rejected before any record is touched, including
+// counts whose byte size wraps 64 bits (2^60 records x 16 bytes = 0).
+// Regression: such a header opened as a 2^60-record trace on the mmap path
+// and tried to allocate 2^60 records on the stream path.
+TEST(PackedTrace, RecordCountBeyondTheFileThrows) {
+  const std::string path = ::testing::TempDir() + "/capart_v2_count.trc";
+  std::vector<PackedOp> packed{pack_op(sample_resolved_ops()[0])};
+  for (const std::uint64_t count :
+       {std::uint64_t{2}, std::uint64_t{1} << 60, ~std::uint64_t{0}}) {
+    write_packed_trace_file(path, "k", packed);
+    {
+      std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+      f.seekp(16);  // magic (8) + version (4) + key length (4)
+      f.write(reinterpret_cast<const char*>(&count), sizeof(count));
+    }
+    for (const bool stream : {false, true}) {
+      MmapTraceFile::force_stream_io_for_testing(stream);
+      EXPECT_THROW(MmapTraceFile::open(path, "k"), Error)
+          << "count " << count << (stream ? " (stream)" : " (mmap)");
+    }
+    MmapTraceFile::force_stream_io_for_testing(false);
+  }
+  std::remove(path.c_str());
+}
+
+/// Opens `path` through the mmap path or the stream-read fallback and
+/// returns the capart::Error message, or "" when the open succeeded.
+std::string open_error(const std::string& path, bool stream) {
+  MmapTraceFile::force_stream_io_for_testing(stream);
+  std::string message;
+  try {
+    (void)MmapTraceFile::open(path, "k");
+  } catch (const Error& e) {
+    message = e.what();
+  }
+  MmapTraceFile::force_stream_io_for_testing(false);
+  return message;
+}
+
+/// Overwrites the bytes at `offset` of an existing file with `value`.
+template <typename T>
+void patch_file(const std::string& path, std::streamoff offset,
+                const T& value) {
+  std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+  f.seekp(offset);
+  f.write(reinterpret_cast<const char*>(&value), sizeof(value));
+}
+
+std::vector<PackedOp> packed_sample() {
+  std::vector<PackedOp> packed;
+  for (const NextOp& op : sample_resolved_ops()) packed.push_back(pack_op(op));
+  return packed;
+}
+
+TEST(PackedTrace, FileShorterThanTheHeaderThrows) {
+  const std::string path = ::testing::TempDir() + "/capart_v2_short.trc";
+  // Empty, a bare magic, and one byte short of the 24-byte fixed header.
+  for (const std::size_t bytes : {std::size_t{0}, std::size_t{8},
+                                  std::size_t{23}}) {
+    {
+      std::ofstream os(path, std::ios::binary | std::ios::trunc);
+      const std::string prefix = std::string("CAPTRCV2") +
+                                 std::string(16, '\0');
+      os.write(prefix.data(), static_cast<std::streamsize>(bytes));
+    }
+    for (const bool stream : {false, true}) {
+      EXPECT_NE(open_error(path, stream).find("too small"), std::string::npos)
+          << bytes << " bytes" << (stream ? " (stream)" : " (mmap)");
+    }
+  }
+  std::remove(path.c_str());
+}
+
+// The key length is external input too: a length that puts the records
+// past the end of the file is a truncated file, not a read past the end.
+TEST(PackedTrace, KeyLengthBeyondTheFileThrows) {
+  const std::string path = ::testing::TempDir() + "/capart_v2_keylen.trc";
+  // The 1-record file is 48 bytes: a 24-byte key puts the records offset
+  // exactly at the end, longer ones past it.
+  for (const std::uint32_t key_bytes :
+       {std::uint32_t{24}, std::uint32_t{1000}, std::uint32_t{0xFFFFFFF0}}) {
+    write_packed_trace_file(path, "k", std::vector<PackedOp>{
+                                           pack_op(sample_resolved_ops()[0])});
+    ASSERT_EQ(std::filesystem::file_size(path), 48u);
+    patch_file(path, 12, key_bytes);  // magic (8) + version (4)
+    for (const bool stream : {false, true}) {
+      EXPECT_NE(open_error(path, stream).find("truncated"), std::string::npos)
+          << "key length " << key_bytes << (stream ? " (stream)" : " (mmap)");
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(PackedTrace, RecordsCutShortThrow) {
+  const std::string path = ::testing::TempDir() + "/capart_v2_cut.trc";
+  // Header + key "k" pad to 32 bytes; three 16-byte records follow. Cut
+  // mid-record, at a record boundary, and down to the bare header.
+  for (const std::uintmax_t keep :
+       {std::uintmax_t{75}, std::uintmax_t{64}, std::uintmax_t{32}}) {
+    write_packed_trace_file(path, "k", packed_sample());
+    ASSERT_EQ(std::filesystem::file_size(path), 80u);
+    std::filesystem::resize_file(path, keep);
+    for (const bool stream : {false, true}) {
+      EXPECT_NE(open_error(path, stream).find("truncated"), std::string::npos)
+          << keep << " bytes kept" << (stream ? " (stream)" : " (mmap)");
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(PackedTrace, OtherFormatVersionThrows) {
+  const std::string path = ::testing::TempDir() + "/capart_v2_version.trc";
+  for (const std::uint32_t version : {std::uint32_t{1}, std::uint32_t{3}}) {
+    write_packed_trace_file(path, "k", packed_sample());
+    patch_file(path, 8, version);  // after the 8-byte magic
+    for (const bool stream : {false, true}) {
+      EXPECT_NE(open_error(path, stream).find("not a v2 packed trace"),
+                std::string::npos)
+          << "version " << version << (stream ? " (stream)" : " (mmap)");
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(PackedTrace, StreamFallbackReadsEveryFieldTheMappingDoes) {
+  // Every flag combination, at the extremes of the gap and address fields.
+  std::vector<NextOp> ops;
+  for (const ResolvedLevel level :
+       {ResolvedLevel::kUnresolved, ResolvedLevel::kL1Hit,
+        ResolvedLevel::kPrivateL2Hit, ResolvedLevel::kShared}) {
+    for (const bool write : {false, true}) {
+      for (const bool prefetchable : {false, true}) {
+        ops.push_back(NextOp{
+            .gap = write ? 0u : 0xFFFFFFFFu,
+            .addr = prefetchable ? ~Addr{0} - 63 : Addr{64} * ops.size(),
+            .type = write ? AccessType::kWrite : AccessType::kRead,
+            .prefetchable = prefetchable,
+            .resolved = level});
+      }
+    }
+  }
+  std::vector<PackedOp> packed;
+  for (const NextOp& op : ops) packed.push_back(pack_op(op));
+  const std::string path = ::testing::TempDir() + "/capart_v2_fields.trc";
+  write_packed_trace_file(path, "k", packed);
+
+  for (const bool stream : {false, true}) {
+    MmapTraceFile::force_stream_io_for_testing(stream);
+    std::unique_ptr<MmapTraceFile> file = MmapTraceFile::open(path, "k");
+    MmapTraceFile::force_stream_io_for_testing(false);
+    ASSERT_NE(file, nullptr);
+    EXPECT_EQ(file->streamed(), stream);
+    ASSERT_EQ(file->ops().size(), ops.size());
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      const NextOp back = unpack_op(file->ops()[i]);
+      EXPECT_EQ(back.gap, ops[i].gap) << i;
+      EXPECT_EQ(back.addr, ops[i].addr) << i;
+      EXPECT_EQ(back.type, ops[i].type) << i;
+      EXPECT_EQ(back.prefetchable, ops[i].prefetchable) << i;
+      EXPECT_EQ(back.resolved, ops[i].resolved) << i;
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(PackedTrace, RewriteReplacesTheFileAndLeavesNoTempSiblings) {
+  const std::string dir = ::testing::TempDir() + "/capart_v2_rewrite";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/entry.trc";
+  write_packed_trace_file(path, "first", packed_sample());
+  write_packed_trace_file(path, "second",
+                          std::span<const PackedOp>(packed_sample()).first(1));
+
+  std::unique_ptr<MmapTraceFile> file = MmapTraceFile::open(path, "second");
+  ASSERT_NE(file, nullptr);
+  EXPECT_EQ(file->ops().size(), 1u);
+  EXPECT_THROW(MmapTraceFile::open(path, "first"), Error);
+  // The writes went through temp files renamed into place; none remain.
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    names.push_back(entry.path().filename().string());
+  }
+  EXPECT_EQ(names, std::vector<std::string>{"entry.trc"});
+  file.reset();
+  std::filesystem::remove_all(dir);
+}
+
+TEST(PackedTrace, UnwritableDestinationThrows) {
+  const std::string dir = ::testing::TempDir() + "/capart_v2_no_such_dir";
+  std::filesystem::remove_all(dir);
+  EXPECT_THROW(write_packed_trace_file(dir + "/entry.trc", "k",
+                                       packed_sample()),
+               Error);
+  EXPECT_FALSE(std::filesystem::exists(dir));
+}
+
 TEST(PackedReplay, FillReturnsShortTailUnderAbortThenDies) {
   std::vector<PackedOp> packed;
   for (const NextOp& op : sample_resolved_ops()) packed.push_back(pack_op(op));
@@ -294,6 +387,90 @@ TEST(PackedReplay, LoopModeWrapsInsideOneFill) {
   EXPECT_EQ(replay.fill(buffer, 7), 7u);
   EXPECT_EQ(buffer[3].addr, sample_resolved_ops()[0].addr);
   EXPECT_EQ(buffer[6].addr, sample_resolved_ops()[0].addr);
+}
+
+TEST(PackedReplay, NextReplaysInOrderAndLoops) {
+  const std::vector<PackedOp> packed = packed_sample();
+  PackedReplay replay(std::span<const PackedOp>(packed),
+                      PackedReplay::OnEnd::kLoop);
+  const std::vector<NextOp> expect = sample_resolved_ops();
+  for (std::size_t i = 0; i < 2 * expect.size(); ++i) {
+    const NextOp op = replay.next();
+    EXPECT_EQ(op.addr, expect[i % expect.size()].addr) << i;
+    EXPECT_EQ(op.resolved, expect[i % expect.size()].resolved) << i;
+    EXPECT_EQ(replay.position(), i % expect.size() + 1) << i;
+  }
+}
+
+TEST(PackedReplay, NextDiesOnExhaustionUnderAbort) {
+  const std::vector<PackedOp> packed = packed_sample();
+  PackedReplay replay(std::span<const PackedOp>(packed),
+                      PackedReplay::OnEnd::kAbort);
+  for (std::size_t i = 0; i < packed.size(); ++i) {
+    EXPECT_EQ(replay.next().addr, sample_resolved_ops()[i].addr);
+  }
+  EXPECT_DEATH(replay.next(), "exhausted");
+}
+
+TEST(PackedReplay, RecordedRunReplaysBitExactly) {
+  // Record a live two-thread run, pack the captured streams, then drive an
+  // identical system from the packed records: cycle-for-cycle identical
+  // results.
+  auto make_system = [] {
+    sim::SystemConfig cfg;
+    cfg.num_threads = 2;
+    cfg.l1 = {.sets = 4, .ways = 2, .line_bytes = 64};
+    cfg.l2 = {.sets = 16, .ways = 8, .line_bytes = 64};
+    return cfg;
+  };
+  auto make_generator = [](ThreadId t) {
+    trace::Phase phase;
+    phase.params.working_set_blocks = 512;
+    phase.params.mem_ratio = 0.3;
+    return std::make_unique<PhasedGenerator>(
+        PhaseSchedule({phase}), Rng(40 + t), (Addr{t} + 1) << 40,
+        Addr{1} << 50);
+  };
+
+  // Live run with recorders wrapped around the generators.
+  std::vector<std::unique_ptr<PhasedGenerator>> inner;
+  inner.push_back(make_generator(0));
+  inner.push_back(make_generator(1));
+  std::vector<std::unique_ptr<OpSource>> recording;
+  recording.push_back(std::make_unique<TraceRecorder>(*inner[0]));
+  recording.push_back(std::make_unique<TraceRecorder>(*inner[1]));
+  std::vector<TraceRecorder*> recorders = {
+      static_cast<TraceRecorder*>(recording[0].get()),
+      static_cast<TraceRecorder*>(recording[1].get())};
+
+  sim::CmpSystem live_system(make_system());
+  sim::Driver live(live_system, sim::make_uniform_program(2, 3, 10'000),
+                   std::move(recording), {});
+  const sim::RunOutcome live_out = live.run();
+
+  // Replay run: every op the live run pulled, and not one more.
+  std::vector<std::vector<PackedOp>> packed(2);
+  std::vector<std::unique_ptr<OpSource>> replaying;
+  for (ThreadId t = 0; t < 2; ++t) {
+    for (const NextOp& op : recorders[t]->recorded()) {
+      packed[t].push_back(pack_op(op));
+    }
+    replaying.push_back(std::make_unique<PackedReplay>(
+        std::span<const PackedOp>(packed[t]), PackedReplay::OnEnd::kAbort));
+  }
+  sim::CmpSystem replay_system(make_system());
+  sim::Driver replay(replay_system, sim::make_uniform_program(2, 3, 10'000),
+                     std::move(replaying), {});
+  const sim::RunOutcome replay_out = replay.run();
+
+  EXPECT_EQ(replay_out.total_cycles, live_out.total_cycles);
+  EXPECT_EQ(replay_out.instructions_retired, live_out.instructions_retired);
+  for (ThreadId t = 0; t < 2; ++t) {
+    EXPECT_EQ(replay_system.counters().thread(t).exec_cycles,
+              live_system.counters().thread(t).exec_cycles);
+    EXPECT_EQ(replay_system.counters().thread(t).l2_misses,
+              live_system.counters().thread(t).l2_misses);
+  }
 }
 
 }  // namespace

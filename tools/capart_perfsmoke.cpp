@@ -27,9 +27,8 @@
 // the committed baseline measures. The resolve stage is timed separately
 // (a dedicated spool-acquire pass before measurement, reported as
 // resolve_seconds) so the measured reps are pure replay and the JSON splits
-// the two stages. --lockstep additionally groups arms sharing a spool
-// identity onto one shared decoded trace (sim::BatchPolicy::lockstep);
-// simd_backend records which tag-probe backend the binary was built with.
+// the two stages. simd_backend records which tag-probe backend the binary
+// was built with.
 //
 // CI runs this in Release at --jobs=1 (tools/run via .github/workflows);
 // regenerate the baseline with:
@@ -64,9 +63,7 @@ struct Options {
   ThreadId threads = 4;
   std::uint64_t seed = 42;
   unsigned jobs = 1;  // serial by default: wall time is the measurement
-  std::uint32_t intra_jobs = 1;
   std::string trace_dir;  // resolved-trace spool directory (empty = off)
-  bool lockstep = false;  // multi-arm lockstep replay (needs --trace-dir)
   std::uint32_t reps = 3;    // measured repetitions; the median gates
   std::uint32_t warmup = 1;  // throwaway passes before measuring
   std::string out = "BENCH_hotpath.json";
@@ -83,10 +80,7 @@ struct Options {
       "  --threads=N         cores (default 4)\n"
       "  --seed=N            workload seed (default 42)\n"
       "  --jobs=N            concurrent arms (default 1; keep 1 for timing)\n"
-      "  --intra-jobs=N      workers inside each experiment (default 1)\n"
       "  --trace-dir=DIR     resolved-trace spool directory (default off)\n"
-      "  --lockstep=0|1      multi-arm lockstep replay (default 0; needs\n"
-      "                      --trace-dir; results bit-identical either way)\n"
       "  --reps=N            measured repetitions; median gates (default 3)\n"
       "  --warmup=N          throwaway passes before measuring (default 1)\n"
       "  --out=PATH          result JSON (default BENCH_hotpath.json)\n"
@@ -113,12 +107,8 @@ Options parse(int argc, char** argv) {
       opt.seed = std::stoull(value);
     } else if (key == "--jobs") {
       opt.jobs = static_cast<unsigned>(std::stoul(value));
-    } else if (key == "--intra-jobs") {
-      opt.intra_jobs = static_cast<std::uint32_t>(std::stoul(value));
     } else if (key == "--trace-dir") {
       opt.trace_dir = value;
-    } else if (key == "--lockstep") {
-      opt.lockstep = value != "0";
     } else if (key == "--reps") {
       opt.reps = static_cast<std::uint32_t>(std::stoul(value));
     } else if (key == "--warmup") {
@@ -155,7 +145,6 @@ bench::BenchOptions to_bench_options(const Options& opt) {
   bopt.threads = opt.threads;
   bopt.seed = opt.seed;
   bopt.jobs = opt.jobs;
-  bopt.intra_jobs = opt.intra_jobs;
   bopt.trace_dir = opt.trace_dir;
   return bopt;
 }
@@ -249,9 +238,7 @@ KindRun run_kind(const Options& opt, mem::IndexKind kind) {
 
   KindRun run;
   run.kind = kind;
-  sim::BatchPolicy policy;
-  policy.lockstep = opt.lockstep;
-  const sim::BatchRunner runner(opt.jobs, policy);
+  const sim::BatchRunner runner(opt.jobs);
   for (std::uint32_t r = 0; r < opt.warmup + opt.reps; ++r) {
     sim::BatchResult batch = runner.run(spec);
     const double seconds = serial_seconds_of(batch, kind);
@@ -332,13 +319,11 @@ int main(int argc, char** argv) {
   const Options opt = parse(argc, argv);
   std::printf(
       "capart_perfsmoke: fig19-21 arm union, scan vs hash tag lookup\n"
-      "  intervals=%u threads=%u seed=%llu jobs=%u intra-jobs=%u "
-      "reps=%u warmup=%u spool=%s lockstep=%s simd=%s\n",
+      "  intervals=%u threads=%u seed=%llu jobs=%u "
+      "reps=%u warmup=%u spool=%s simd=%s\n",
       opt.intervals, static_cast<unsigned>(opt.threads),
-      static_cast<unsigned long long>(opt.seed), opt.jobs, opt.intra_jobs,
-      opt.reps, opt.warmup,
-      opt.trace_dir.empty() ? "off" : opt.trace_dir.c_str(),
-      opt.lockstep ? "on" : "off",
+      static_cast<unsigned long long>(opt.seed), opt.jobs, opt.reps,
+      opt.warmup, opt.trace_dir.empty() ? "off" : opt.trace_dir.c_str(),
       std::string(mem::simd::backend_name()).c_str());
 
   const double resolve_seconds = warm_spool_stage(opt);
@@ -377,12 +362,8 @@ int main(int argc, char** argv) {
       .value(opt.seed)
       .key("jobs")
       .value(opt.jobs)
-      .key("intra_jobs")
-      .value(opt.intra_jobs)
       .key("trace_spool")
       .value(!opt.trace_dir.empty())
-      .key("lockstep")
-      .value(opt.lockstep)
       .key("simd_backend")
       .value(mem::simd::backend_name())
       .key("resolve_seconds")
