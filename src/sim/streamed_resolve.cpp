@@ -132,21 +132,28 @@ class ResolvePool {
   std::atomic<unsigned> idle_{0};
 };
 
-/// The streams of one run, shared by its per-thread sources. Streams are
-/// built on the first fill() of any of them.
+/// The streams of one run, shared by its per-thread sources, or of one
+/// spool resolve. Streams are built on the first fill() or on drain().
 class StreamGroup {
  public:
-  explicit StreamGroup(ResolveSpec spec) : spec_(std::move(spec)) {}
+  /// Stream i resolves thread threads[i] of `spec`. A `retire` group's
+  /// driver thread keeps its streams after it ends (see t_retired).
+  StreamGroup(ResolveSpec spec, std::vector<ThreadId> threads, bool retire)
+      : spec_(std::move(spec)), threads_(std::move(threads)), retire_(retire) {}
   ~StreamGroup() {
     if (pooled_) {
       ResolvePool::instance().detach(this);
-      t_retired = std::move(streams_);
+      if (retire_) t_retired = std::move(streams_);
     }
   }
   StreamGroup(const StreamGroup&) = delete;
   StreamGroup& operator=(const StreamGroup&) = delete;
 
-  std::size_t fill(ThreadId t, trace::NextOp* out, std::size_t n);
+  /// Stream i's next ops, for the driver replaying it.
+  std::size_t fill(std::size_t i, trace::NextOp* out, std::size_t n);
+  /// Hands every stream's records to `sink`, chunk by chunk as they are
+  /// resolved, until all are exhausted.
+  void drain(const StreamSink& sink);
 
   std::vector<std::unique_ptr<Stream>>& streams() noexcept { return streams_; }
 
@@ -154,6 +161,8 @@ class StreamGroup {
   void start();
 
   ResolveSpec spec_;
+  std::vector<ThreadId> threads_;
+  bool retire_;
   std::vector<std::unique_ptr<Stream>> streams_;
   bool pooled_ = false;
 };
@@ -175,7 +184,7 @@ void produce_chunk(Stream& s) {
     std::array<trace::NextOp, kChunkOps> ops;
     const std::size_t got = s.resolver.fill(ops.data(), ops.size());
     if (got == 0) {
-      s.closed.store(true, std::memory_order_relaxed);
+      s.closed.store(true, std::memory_order_release);
       return;
     }
     for (std::size_t i = 0; i < got; ++i) chunk.ops[i] = trace::pack_op(ops[i]);
@@ -185,8 +194,9 @@ void produce_chunk(Stream& s) {
     chunk.count = kFailedChunk;
   }
   s.produced.store(seq + 1, std::memory_order_release);
+  // Release: a consumer that sees the stream closed sees every chunk.
   if (chunk.count == kFailedChunk || s.resolver.exhausted()) {
-    s.closed.store(true, std::memory_order_relaxed);
+    s.closed.store(true, std::memory_order_release);
   }
 }
 
@@ -289,11 +299,44 @@ void ResolvePool::helper_main(unsigned index) {
   }
 }
 
+/// The consumer's own chunk: with `s` claimed by the consumer and chunk
+/// `seq` not published, resolves up to `n` ops straight into `out` as one
+/// chunk that is produced and consumed at once, and releases the claim.
+/// Returns how many ops (0 once the stream is exhausted); a failure closes
+/// the stream and is rethrown.
+std::size_t resolve_inline(Stream& s, std::uint64_t seq, trace::NextOp* out,
+                           std::size_t n) {
+  if (s.error) {
+    s.unclaim();
+    std::rethrow_exception(s.error);
+  }
+  std::size_t got = 0;
+  try {
+    got = s.resolver.fill(out, n);
+  } catch (...) {
+    s.error = std::current_exception();
+    s.closed.store(true, std::memory_order_release);
+    s.unclaim();
+    throw;
+  }
+  if (got > 0) {
+    s.produced.store(seq + 1, std::memory_order_relaxed);
+    s.consumed.store(seq + 1, std::memory_order_seq_cst);
+  }
+  if (got == 0 || s.resolver.exhausted()) {
+    s.closed.store(true, std::memory_order_release);
+  }
+  s.unclaim();
+  // A helper that went idle while this stream was claimed here must learn
+  // that it is free again.
+  ResolvePool::instance().chunk_consumed(s);
+  return got;
+}
+
 void StreamGroup::start() {
   t_retired.clear();
-  const auto threads = static_cast<ThreadId>(spec_.profile.threads.size());
-  streams_.reserve(threads);
-  for (ThreadId t = 0; t < threads; ++t) {
+  streams_.reserve(threads_.size());
+  for (const ThreadId t : threads_) {
     streams_.push_back(std::make_unique<Stream>(spec_, t));
   }
   ResolvePool& pool = ResolvePool::instance();
@@ -307,9 +350,10 @@ void StreamGroup::start() {
   pool.attach(this);
 }
 
-std::size_t StreamGroup::fill(ThreadId t, trace::NextOp* out, std::size_t n) {
+std::size_t StreamGroup::fill(std::size_t i, trace::NextOp* out,
+                              std::size_t n) {
   if (streams_.empty()) start();
-  Stream& s = *streams_[t];
+  Stream& s = *streams_[i];
   if (s.ring == nullptr) {
     const std::size_t got = s.resolver.fill(out, n);
     CAPART_CHECK(got > 0, "streamed resolve: stream exhausted");
@@ -320,7 +364,7 @@ std::size_t StreamGroup::fill(ThreadId t, trace::NextOp* out, std::size_t n) {
       const std::size_t take =
           std::min<std::size_t>(n, s.current->count - s.read_pos);
       const trace::PackedOp* records = s.current->ops.data() + s.read_pos;
-      for (std::size_t i = 0; i < take; ++i) out[i] = trace::unpack_op(records[i]);
+      for (std::size_t k = 0; k < take; ++k) out[k] = trace::unpack_op(records[k]);
       s.read_pos += static_cast<std::uint32_t>(take);
       if (s.read_pos == s.current->count) {
         s.current = nullptr;
@@ -343,34 +387,66 @@ std::size_t StreamGroup::fill(ThreadId t, trace::NextOp* out, std::size_t n) {
         continue;
       }
       // Nobody is filling the next chunk: resolve it here, straight into
-      // the driver's ring, as one chunk that is produced and consumed at
-      // once (the ring stays empty).
-      if (s.error) {
-        s.unclaim();
-        std::rethrow_exception(s.error);
-      }
-      std::size_t got = 0;
-      try {
-        got = s.resolver.fill(out, n);
-      } catch (...) {
-        s.error = std::current_exception();
-        s.closed.store(true, std::memory_order_relaxed);
-        s.unclaim();
-        throw;
-      }
+      // the driver's ring (which stays empty).
+      const std::size_t got = resolve_inline(s, seq, out, n);
       CAPART_CHECK(got > 0, "streamed resolve: stream exhausted");
-      if (s.resolver.exhausted()) s.closed.store(true, std::memory_order_relaxed);
-      s.produced.store(seq + 1, std::memory_order_relaxed);
-      s.consumed.store(seq + 1, std::memory_order_seq_cst);
-      s.unclaim();
-      // A helper that went idle while this stream was claimed here must
-      // learn that it is free again.
-      ResolvePool::instance().chunk_consumed(s);
       return got;
     }
     // A helper is resolving exactly this chunk; it lands within one chunk's
     // work unless the helper is descheduled, so spin briefly, then yield.
     if (round < kSpinRounds) {
+      cpu_relax();
+    } else {
+      std::this_thread::yield();
+    }
+  }
+}
+
+void StreamGroup::drain(const StreamSink& sink) {
+  start();
+  // One pass per round over the open streams: take each published chunk,
+  // and resolve here the next chunk of any stream no helper is filling
+  // (every chunk, without helpers). Only when helpers hold every open
+  // stream and none has a chunk ready does this thread wait.
+  std::array<trace::NextOp, kChunkOps> ops;
+  std::array<trace::PackedOp, kChunkOps> packed;
+  std::vector<bool> done(streams_.size(), false);
+  std::size_t open = streams_.size();
+  for (std::uint32_t idle_rounds = 0; open > 0;) {
+    bool progressed = false;
+    for (std::size_t i = 0; i < streams_.size(); ++i) {
+      if (done[i]) continue;
+      Stream& s = *streams_[i];
+      const std::uint64_t seq = s.consumed.load(std::memory_order_relaxed);
+      if (s.produced.load(std::memory_order_acquire) > seq) {
+        const Chunk& chunk = s.ring[seq % kRingChunks];
+        if (chunk.count == kFailedChunk) std::rethrow_exception(s.error);
+        sink(i, std::span<const trace::PackedOp>(chunk.ops.data(), chunk.count));
+        s.consumed.store(seq + 1, std::memory_order_seq_cst);
+        ResolvePool::instance().chunk_consumed(s);
+        progressed = true;
+      } else if (s.closed.load(std::memory_order_acquire)) {
+        // Closed after its last chunk was published, which is consumed once
+        // `produced` has not moved past `seq`.
+        if (s.produced.load(std::memory_order_relaxed) == seq) {
+          done[i] = true;
+          --open;
+          progressed = true;
+        }
+      } else if (s.try_claim()) {
+        if (s.produced.load(std::memory_order_acquire) > seq) {
+          s.unclaim();  // a helper published it meanwhile
+          continue;
+        }
+        const std::size_t got = resolve_inline(s, seq, ops.data(), ops.size());
+        for (std::size_t k = 0; k < got; ++k) packed[k] = trace::pack_op(ops[k]);
+        if (got > 0) sink(i, std::span<const trace::PackedOp>(packed.data(), got));
+        progressed = true;
+      }
+    }
+    if (progressed) {
+      idle_rounds = 0;
+    } else if (++idle_rounds < kSpinRounds) {
       cpu_relax();
     } else {
       std::this_thread::yield();
@@ -424,21 +500,23 @@ ThreadResolver::ThreadResolver(const ResolveSpec& spec, ThreadId t)
 }
 
 std::size_t ThreadResolver::fill(trace::NextOp* out, std::size_t n) {
+  if (pulled_ >= per_thread_) return 0;
+  // Generate the batch first, then run its private-cache accesses. Ops
+  // generated past the budget's end are dropped with the exhausted stream.
+  const std::size_t generated = generator_.fill(out, n);
   std::size_t i = 0;
-  for (; i < n && pulled_ < per_thread_; ++i) {
-    trace::NextOp op = generator_.next();
+  for (; i < generated && pulled_ < per_thread_; ++i) {
+    trace::NextOp& op = out[i];
     const bool executed = pulled_ + op.gap + 1 <= per_thread_;
     pulled_ += op.gap + 1;
-    if (executed) {
-      if (l1_.access(op.addr, op.type)) {
-        op.resolved = trace::ResolvedLevel::kL1Hit;
-      } else if (private_l2_ && private_l2_->access(op.addr, op.type)) {
-        op.resolved = trace::ResolvedLevel::kPrivateL2Hit;
-      } else {
-        op.resolved = trace::ResolvedLevel::kShared;
-      }
+    if (!executed) continue;
+    if (l1_.access(op.addr, op.type)) {
+      op.resolved = trace::ResolvedLevel::kL1Hit;
+    } else if (private_l2_ && private_l2_->access(op.addr, op.type)) {
+      op.resolved = trace::ResolvedLevel::kPrivateL2Hit;
+    } else {
+      op.resolved = trace::ResolvedLevel::kShared;
     }
-    out[i] = op;
   }
   return i;
 }
@@ -450,13 +528,22 @@ std::vector<std::unique_ptr<trace::OpSource>> streamed_sources(
   if (!config.trace_spool_dir.empty() || !config.migrations.empty()) {
     return sources;
   }
+  std::vector<ThreadId> threads(config.num_threads);
+  for (ThreadId t = 0; t < config.num_threads; ++t) threads[t] = t;
   auto group = std::make_shared<StreamGroup>(
-      make_resolve_spec(config, profile, per_thread));
+      make_resolve_spec(config, profile, per_thread), std::move(threads),
+      /*retire=*/true);
   sources.reserve(config.num_threads);
   for (ThreadId t = 0; t < config.num_threads; ++t) {
     sources.push_back(std::make_unique<StreamedSource>(group, t));
   }
   return sources;
+}
+
+void resolve_streams(ResolveSpec spec, std::vector<ThreadId> threads,
+                     const StreamSink& sink) {
+  StreamGroup group(std::move(spec), std::move(threads), /*retire=*/false);
+  group.drain(sink);
 }
 
 unsigned streamed_resolve_helpers() {

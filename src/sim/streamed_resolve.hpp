@@ -2,32 +2,36 @@
 // generated and resolved against its private caches ahead of the driver.
 //
 // A live run spends most of its host time outside the shared cache: on the
-// fig 19-21 sweep, generating the op streams is ~59 % of the wall and
-// simulating the private L1s another ~17 %. Neither depends on the shared
-// cache or on the other threads. The model has no coherence between private
-// caches, so a thread's private hit/miss sequence is a function of its own
-// stream alone — the fact the trace spool rests on. A run with no
-// caller-supplied sources, no spool directory and no migrations therefore
-// gets one streamed source per thread: it runs the spool's
-// generate-and-resolve loop (ThreadResolver) and the driver replays the
-// resolved ops through CmpSystem::memory_access_resolved, as it replays a
-// spool. Results are bit-identical to the unresolved path by construction.
+// fig 19-21 sweep, simulated all on the driver's thread, generating the op
+// streams is ~53 % of the wall and simulating the private L1s another
+// ~20 %. Neither depends on the shared cache or on the other threads. The
+// model has no coherence between private caches, so a thread's private
+// hit/miss sequence is a function of its own stream alone — the fact the
+// trace spool rests on. A run with no caller-supplied sources, no spool
+// directory and no migrations therefore gets one streamed source per
+// thread: it runs the spool's generate-and-resolve loop (ThreadResolver)
+// and the driver replays the resolved ops through
+// CmpSystem::memory_access_resolved, as it replays a spool. Results are
+// bit-identical to the unresolved path by construction.
 //
 // Helpers: a process-wide pool of helper threads fills each stream's small
 // ring of fixed-size chunks ahead of the driver. The pool starts with the
-// first streamed run and holds one thread per CPU of the process's affinity
-// mask beyond the caller's; while several streamed runs are active (a
-// BatchRunner with --jobs), only the CPUs they leave idle get a helper. When
-// the driver needs a chunk that is not ready and no helper is filling it,
-// it resolves the ops itself, straight into its own ring — so a single-CPU
-// or fully busy host costs what the unresolved path costs; the driver only
-// waits on a chunk a helper has already started.
+// first streamed run (or cold spool resolve, which drains the same rings
+// into its files: resolve_streams) and holds one thread per CPU of the
+// process's affinity mask beyond the caller's; while several streamed runs
+// are active (a BatchRunner with --jobs), only the CPUs they leave idle
+// get a helper. When the driver needs a chunk that is not ready and no
+// helper is filling it, it resolves the ops itself, straight into its own
+// ring — so a single-CPU or fully busy host costs what the unresolved path
+// costs; the driver only waits on a chunk a helper has already started.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "src/common/types.hpp"
@@ -37,6 +41,7 @@
 #include "src/trace/benchmarks.hpp"
 #include "src/trace/op_source.hpp"
 #include "src/trace/phase.hpp"
+#include "src/trace/trace_io.hpp"
 
 namespace capart::sim {
 
@@ -92,6 +97,20 @@ class ThreadResolver {
 std::vector<std::unique_ptr<trace::OpSource>> streamed_sources(
     const ExperimentConfig& config, const trace::BenchmarkProfile& profile,
     Instructions per_thread);
+
+/// Receives stream `i`'s next resolved records (stream order within a
+/// stream; streams interleave).
+using StreamSink =
+    std::function<void(std::size_t i, std::span<const trace::PackedOp>)>;
+
+/// Resolves the streams of threads `threads` of `spec` on the helper pool
+/// and the calling thread together, handing stream i (thread threads[i])
+/// to `sink` chunk by chunk as it is resolved — the spool writer's path.
+/// While it runs, the calling thread counts as one of the pool's drivers.
+/// Returns once every stream is exhausted; a failure, on a helper or
+/// inline, is thrown from here once the helpers have let go of the streams.
+void resolve_streams(ResolveSpec spec, std::vector<ThreadId> threads,
+                     const StreamSink& sink);
 
 /// Helper threads the process-wide pool may run: one per CPU of the
 /// affinity mask beyond the caller's (0 on a single CPU: every chunk is then

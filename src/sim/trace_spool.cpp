@@ -4,10 +4,14 @@
 #include <sys/stat.h>
 
 #include <algorithm>
-#include <array>
+#include <atomic>
+#include <condition_variable>
+#include <exception>
 #include <filesystem>
 #include <map>
 #include <mutex>
+#include <optional>
+#include <span>
 #include <utility>
 
 #include "src/common/check.hpp"
@@ -74,62 +78,120 @@ std::map<std::string, std::shared_ptr<trace::MmapTraceFile>>& registry() {
   return *m;
 }
 
+/// An entry one caller is acquiring. Callers asking for its path meanwhile
+/// wait for it instead of resolving the stream again.
+struct InFlight {
+  bool done = false;
+  std::shared_ptr<trace::MmapTraceFile> file;
+  /// Set when the acquisition failed: what the acquirer's error says.
+  std::optional<std::string> error;
+};
+
+/// In-flight entries by path, and the signal that one completed (both
+/// guarded by g_registry_mutex).
+std::map<std::string, std::shared_ptr<InFlight>>& in_flight() {
+  static auto* m = new std::map<std::string, std::shared_ptr<InFlight>>();
+  return *m;
+}
+std::condition_variable g_in_flight_done;
+
+std::atomic<std::uint64_t> g_streams_resolved{0};
+
 /// Refreshes `path`'s mtime so spool_gc's LRU order sees this hit (best
 /// effort: a failure only makes the entry look colder than it is).
 void touch_spool_entry(const std::string& path) noexcept {
   ::utimensat(AT_FDCWD, path.c_str(), nullptr, 0);
 }
 
-/// Generates and resolves thread `t`'s stream exactly as a live driver run
-/// would consume it (the streamed sources' loop), and writes the packed
-/// spool file.
-void resolve_thread(const ResolveSpec& spec, ThreadId t,
-                    const std::string& key, const std::string& path) {
-  ThreadResolver resolver(spec, t);
-  std::vector<trace::PackedOp> ops;
-  ops.reserve(static_cast<std::size_t>(spec.per_thread / 4) + 16);
-  std::array<trace::NextOp, 256> batch;
-  while (const std::size_t got = resolver.fill(batch.data(), batch.size())) {
-    for (std::size_t i = 0; i < got; ++i) {
-      ops.push_back(trace::pack_op(batch[i]));
-    }
+/// Generates and resolves the streams of `threads` exactly as a live driver
+/// run would consume them (ThreadResolver, on the helper pool), and writes
+/// each to its spool file as it is resolved.
+void resolve_to_spool(const ExperimentConfig& config, Instructions per_thread,
+                      const std::vector<std::string>& keys,
+                      const std::vector<std::string>& paths,
+                      const std::vector<ThreadId>& threads) {
+  std::vector<std::unique_ptr<trace::PackedTraceWriter>> writers;
+  writers.reserve(threads.size());
+  for (const ThreadId t : threads) {
+    writers.push_back(
+        std::make_unique<trace::PackedTraceWriter>(paths[t], keys[t]));
   }
   // A final op whose gap alone exhausts the budget is pulled by the driver
   // but its access never runs, so the resolver leaves it kUnresolved. The
   // spool keeps it that way on purpose, as a tripwire: replaying it as an
   // executed access would be a driver bug, and memory_access_resolved
   // aborts on an unresolved op.
-  trace::write_packed_trace_file(path, key, ops);
+  resolve_streams(
+      make_resolve_spec(config,
+                        trace::make_profile(config.profile, config.num_threads),
+                        per_thread),
+      threads,
+      [&writers](std::size_t i, std::span<const trace::PackedOp> records) {
+        writers[i]->append(records);
+      });
+  for (const std::unique_ptr<trace::PackedTraceWriter>& writer : writers) {
+    writer->finish();
+  }
+  g_streams_resolved.fetch_add(threads.size(), std::memory_order_relaxed);
 }
 
-std::shared_ptr<trace::MmapTraceFile> acquire_thread(
-    const ExperimentConfig& config, const ResolveSpec& spec, ThreadId t) {
-  const std::string key = spool_key(config, spec.per_thread, t);
-  const std::string path = spool_path(config.trace_spool_dir, key);
+/// Opens the entries of `led` — the threads whose in-flight entries this
+/// caller holds — from disk, resolving every one that is missing in one
+/// pass, and publishes them (or the failure) to the registry and to the
+/// callers waiting on them.
+void acquire_led(const ExperimentConfig& config, Instructions per_thread,
+                 const std::vector<std::string>& keys,
+                 const std::vector<std::string>& paths,
+                 const std::vector<ThreadId>& led,
+                 std::vector<std::shared_ptr<trace::MmapTraceFile>>& files) {
+  // Waiters throw an Error of their own with the message. Rethrowing one
+  // exception object on several threads would leave its destruction to
+  // whichever lets go last, an ordering ThreadSanitizer cannot see through
+  // the uninstrumented C++ runtime.
+  std::exception_ptr error;
+  std::optional<std::string> message;
+  try {
+    std::vector<ThreadId> missing;
+    for (const ThreadId t : led) {
+      files[t] = trace::MmapTraceFile::open(paths[t], keys[t]);
+      if (files[t] == nullptr) {
+        missing.push_back(t);
+      } else {
+        // Disk hit from a previous process: refresh the GC recency stamp
+        // (a fresh resolve already carries one from the write).
+        touch_spool_entry(paths[t]);
+      }
+    }
+    if (!missing.empty()) {
+      resolve_to_spool(config, per_thread, keys, paths, missing);
+      for (const ThreadId t : missing) {
+        files[t] = trace::MmapTraceFile::open(paths[t], keys[t]);
+        CAPART_CHECK(files[t] != nullptr,
+                     "trace spool: freshly written file vanished");
+      }
+    }
+  } catch (const std::exception& e) {
+    error = std::current_exception();
+    message = e.what();
+  } catch (...) {
+    error = std::current_exception();
+    message = "trace spool: unknown failure";
+  }
   {
     std::lock_guard<std::mutex> lock(g_registry_mutex);
-    auto it = registry().find(path);
-    if (it != registry().end()) {
-      CAPART_CHECK(it->second->key() == key,
-                   "trace spool: path hash collision");
-      touch_spool_entry(path);
-      return it->second;
+    for (const ThreadId t : led) {
+      const auto it = in_flight().find(paths[t]);
+      it->second->done = true;
+      if (message) {
+        it->second->error = message;
+      } else {
+        it->second->file = registry().emplace(paths[t], files[t]).first->second;
+      }
+      in_flight().erase(it);
     }
   }
-  std::shared_ptr<trace::MmapTraceFile> file =
-      trace::MmapTraceFile::open(path, key);
-  if (file == nullptr) {
-    resolve_thread(spec, t, key, path);
-    file = trace::MmapTraceFile::open(path, key);
-    CAPART_CHECK(file != nullptr, "trace spool: freshly written file vanished");
-  } else {
-    // Disk hit from a previous process: refresh the GC recency stamp (a
-    // fresh resolve already carries one from the write).
-    touch_spool_entry(path);
-  }
-  std::lock_guard<std::mutex> lock(g_registry_mutex);
-  auto [it, inserted] = registry().emplace(path, std::move(file));
-  return it->second;
+  g_in_flight_done.notify_all();
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace
@@ -162,17 +224,61 @@ std::vector<std::unique_ptr<trace::OpSource>> spool_sources(
     // in the 1:1 binding, so such runs must simulate the hierarchy live.
     return sources;
   }
-  const ResolveSpec spec = make_resolve_spec(
-      config, trace::make_profile(config.profile, config.num_threads),
-      per_thread);
+  const ThreadId threads = config.num_threads;
+  std::vector<std::string> keys(threads);
+  std::vector<std::string> paths(threads);
+  std::vector<std::shared_ptr<trace::MmapTraceFile>> files(threads);
+  // Entries another caller is acquiring, and the ones this call acquires.
+  std::vector<std::shared_ptr<InFlight>> awaited(threads);
+  std::vector<ThreadId> led;
+  {
+    std::lock_guard<std::mutex> lock(g_registry_mutex);
+    for (ThreadId t = 0; t < threads; ++t) {
+      keys[t] = spool_key(config, per_thread, t);
+      paths[t] = spool_path(config.trace_spool_dir, keys[t]);
+      const auto hit = registry().find(paths[t]);
+      if (hit != registry().end()) {
+        CAPART_CHECK(hit->second->key() == keys[t],
+                     "trace spool: path hash collision");
+        touch_spool_entry(paths[t]);
+        files[t] = hit->second;
+        continue;
+      }
+      auto [it, inserted] = in_flight().try_emplace(paths[t]);
+      if (inserted) {
+        it->second = std::make_shared<InFlight>();
+        led.push_back(t);
+      } else {
+        awaited[t] = it->second;
+      }
+    }
+  }
+  // Lead first, then wait: a caller never waits while holding entries, so
+  // callers cannot wait on each other in a cycle.
+  if (!led.empty()) acquire_led(config, per_thread, keys, paths, led, files);
+  {
+    std::unique_lock<std::mutex> lock(g_registry_mutex);
+    for (ThreadId t = 0; t < threads; ++t) {
+      if (awaited[t] == nullptr) continue;
+      const InFlight& entry = *awaited[t];
+      g_in_flight_done.wait(lock, [&entry] { return entry.done; });
+      if (entry.error) throw Error(*entry.error);
+      CAPART_CHECK(entry.file->key() == keys[t],
+                   "trace spool: path hash collision");
+      files[t] = entry.file;
+    }
+  }
 
-  sources.reserve(config.num_threads);
-  for (ThreadId t = 0; t < config.num_threads; ++t) {
-    sources.push_back(
-        std::make_unique<SpooledReplay>(acquire_thread(config, spec, t)));
+  sources.reserve(threads);
+  for (ThreadId t = 0; t < threads; ++t) {
+    sources.push_back(std::make_unique<SpooledReplay>(std::move(files[t])));
   }
   spool_gc(config.trace_spool_dir, config.trace_spool_max_bytes);
   return sources;
+}
+
+std::uint64_t spool_streams_resolved_for_testing() noexcept {
+  return g_streams_resolved.load(std::memory_order_relaxed);
 }
 
 std::uint64_t spool_gc(const std::string& dir, std::uint64_t max_bytes) {
@@ -214,9 +320,13 @@ std::uint64_t spool_gc(const std::string& dir, std::uint64_t max_bytes) {
     {
       // Entries held by this process stay: deleting them would force a
       // redundant resolve on the next acquire for no memory win (the
-      // mapping pins the pages regardless).
+      // mapping pins the pages regardless). So do entries in flight, whose
+      // acquirer opens them right after the write.
       std::lock_guard<std::mutex> lock(g_registry_mutex);
-      if (registry().count(entry.path.string()) != 0) continue;
+      const std::string path = entry.path.string();
+      if (registry().count(path) != 0 || in_flight().count(path) != 0) {
+        continue;
+      }
     }
     if (fs::remove(entry.path, ec) && !ec) deleted += entry.bytes;
   }

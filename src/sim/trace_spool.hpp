@@ -10,11 +10,16 @@
 // private L1 (+ optional private L2), and writes the resolved ops to a
 // packed v2 trace file (trace_io.hpp). Every later experiment — in this
 // process or any other sharing the spool directory — mmap()s the file and
-// replays it, skipping both generation (the stack-distance draws are ~59 %
-// of a live fig 19-21 sweep's wall) and private-hierarchy simulation (the
-// L1s are another ~17 %): the driver dispatches resolved ops through
-// CmpSystem::memory_access_resolved, which replays the private-level
-// counter effects and simulates only the shared cache.
+// replays it, skipping both generation (the stack-distance draws are ~53 %
+// of a fig 19-21 sweep that simulates everything on the driver's thread)
+// and private-hierarchy simulation (the L1s are another ~20 %): the driver
+// dispatches resolved ops through CmpSystem::memory_access_resolved, which
+// replays the private-level counter effects and simulates only the shared
+// cache.
+//
+// Resolving: a config's missing streams are resolved together, on the
+// streamed resolve's helper pool, and each is written to its file chunk by
+// chunk as it resolves, so no buffer holds a whole stream.
 //
 // Bit-identity: the resolve pass runs ThreadResolver (streamed_resolve.hpp),
 // the loop the default live path also streams from: it consumes the
@@ -30,6 +35,8 @@
 // threads, seed, per-thread work, private geometries, replacement kinds);
 // open verifies it, so hash-named files can never be confused across
 // configurations. Writes are temp+rename, so concurrent producers are safe.
+// In one process an entry is resolved once: a caller that misses an entry
+// another caller is resolving waits for that caller's file (or failure).
 #pragma once
 
 #include <cstdint>
@@ -54,13 +61,19 @@ std::string spool_key(const ExperimentConfig& config, Instructions per_thread,
 std::string spool_path(const std::string& dir, const std::string& key);
 
 /// Returns one resolved-replay OpSource per thread for `config`, resolving
-/// and writing missing spool entries first, one thread at a time. Mapped
-/// files are cached in-process, so sibling arms pay one mmap each. Returns
-/// an empty vector when the config is ineligible for spooling (migration
-/// schedules rebind L1s mid-run). Throws capart::Error on I/O failure and
-/// ConfigError on invalid profile parameters.
+/// and writing missing spool entries first, all in one pass on the helper
+/// pool. Entries another caller in this process is resolving are waited
+/// for, not resolved again. Mapped files are cached in-process, so sibling
+/// arms pay one mmap each. Returns an empty vector when the config is
+/// ineligible for spooling (migration schedules rebind L1s mid-run).
+/// Throws capart::Error on I/O failure (a waiting caller throws one with
+/// the resolving caller's message) and ConfigError on invalid profile
+/// parameters; a failed pass leaves no spool file behind.
 std::vector<std::unique_ptr<trace::OpSource>> spool_sources(
     const ExperimentConfig& config, Instructions per_thread);
+
+/// Test hook: thread streams this process has resolved into a spool so far.
+std::uint64_t spool_streams_resolved_for_testing() noexcept;
 
 /// Shrinks `dir` to at most `max_bytes` of spool (capart_*.trc) files by
 /// deleting least-recently-used entries — mtime order, oldest first;

@@ -22,6 +22,16 @@ std::size_t PhaseSchedule::index_at(Instructions pos) const noexcept {
   return phases_.size() - 1;  // unreachable: offset < cycle_length_
 }
 
+Instructions PhaseSchedule::phase_end(Instructions pos) const noexcept {
+  const Instructions offset = pos % cycle_length_;
+  Instructions end = 0;
+  for (const Phase& phase : phases_) {
+    end += phase.duration;
+    if (offset < end) break;
+  }
+  return pos - offset + end;
+}
+
 const Phase& PhaseSchedule::at(Instructions pos) const noexcept {
   return phases_[index_at(pos)];
 }
@@ -30,7 +40,8 @@ PhasedGenerator::PhasedGenerator(PhaseSchedule schedule, Rng rng,
                                  Addr private_base, Addr shared_base)
     : schedule_(std::move(schedule)),
       generator_(schedule_.at(0).params, rng, private_base, shared_base),
-      current_phase_(schedule_.index_at(0)) {}
+      current_phase_(schedule_.index_at(0)),
+      phase_end_(schedule_.phase_end(0)) {}
 
 void PhasedGenerator::reserve() {
   std::uint32_t blocks = 0;
@@ -40,14 +51,24 @@ void PhasedGenerator::reserve() {
   generator_.reserve(blocks);
 }
 
-NextOp PhasedGenerator::next() {
-  const std::size_t phase = schedule_.index_at(position_);
-  if (phase != current_phase_) {
-    current_phase_ = phase;
-    generator_.set_params(schedule_.phases()[phase].params);
+std::size_t PhasedGenerator::fill(NextOp* out, std::size_t n) {
+  for (std::size_t done = 0; done < n;) {
+    if (position_ >= phase_end_) {
+      const std::size_t phase = schedule_.index_at(position_);
+      if (phase != current_phase_) {
+        current_phase_ = phase;
+        generator_.set_params(schedule_.phases()[phase].params);
+      }
+      phase_end_ = schedule_.phase_end(position_);
+    }
+    done += generator_.fill(out + done, n - done, position_, phase_end_);
   }
-  NextOp op = generator_.next();
-  position_ += op.gap + 1;
+  return n;
+}
+
+NextOp PhasedGenerator::next() {
+  NextOp op;
+  (void)fill(&op, 1);
   return op;
 }
 

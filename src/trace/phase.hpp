@@ -30,6 +30,10 @@ class PhaseSchedule {
   /// Index (into the phase list) active at `pos`.
   std::size_t index_at(Instructions pos) const noexcept;
 
+  /// Where the phase active at `pos` ends: the first position after `pos`
+  /// at which index_at() may change.
+  Instructions phase_end(Instructions pos) const noexcept;
+
   std::size_t size() const noexcept { return phases_.size(); }
   const std::vector<Phase>& phases() const noexcept { return phases_; }
 
@@ -44,12 +48,17 @@ class PhasedGenerator final : public OpSource {
   PhasedGenerator(PhaseSchedule schedule, Rng rng, Addr private_base,
                   Addr shared_base);
 
-  /// Next (gap, access) unit; phase boundaries are honoured at operation
-  /// granularity (a boundary inside a gap run takes effect at the next op).
+  /// Writes the next `n` (gap, access) units to `out` and returns `n`.
+  /// Phase boundaries are honoured at operation granularity (a boundary
+  /// inside a gap run takes effect at the next op): each batch of the
+  /// underlying generator ends after the op that crosses one.
+  std::size_t fill(NextOp* out, std::size_t n) override;
+
+  /// The next unit: a one-op fill().
   NextOp next() override;
 
   /// Sizes the generator's storage for every phase of the schedule, so
-  /// next() never allocates (a source filled on a helper thread then leaves
+  /// fill() never allocates (a source filled on a helper thread then leaves
   /// nothing in that thread's allocator). The stream is unchanged.
   void reserve();
 
@@ -65,6 +74,8 @@ class PhasedGenerator final : public OpSource {
   StackDistGenerator generator_;
   Instructions position_ = 0;
   std::size_t current_phase_;
+  /// End of the phase the generator's params belong to.
+  Instructions phase_end_;
 };
 
 }  // namespace capart::trace

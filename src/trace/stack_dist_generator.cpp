@@ -137,13 +137,8 @@ Addr StackDistGenerator::shared_access() {
   return shared_base_ + idx * kLineBytes;
 }
 
-Addr StackDistGenerator::private_access(bool& was_new) {
-  const bool force_new = rng_.chance(params_.p_new);
+Addr StackDistGenerator::private_access(std::uint64_t depth, bool& was_new) {
   std::uint32_t block;
-  std::uint64_t depth = 0;
-  if (!force_new && stack_size() > 0) {
-    depth = draw_depth();
-  }
   was_new = false;
   if (depth >= 1 && depth <= stack_size()) {
     // Re-reference the block at stack depth `depth` (1 = MRU) and move it to
@@ -164,18 +159,49 @@ Addr StackDistGenerator::private_access(bool& was_new) {
   return private_base_ + static_cast<Addr>(block) * kLineBytes;
 }
 
-NextOp StackDistGenerator::next() {
-  NextOp op;
-  op.gap = draw_gap();
-  if (rng_.chance(params_.share_fraction)) {
-    op.addr = shared_access();
-  } else {
+std::size_t StackDistGenerator::fill(NextOp* out, std::size_t n,
+                                     Instructions& position,
+                                     Instructions stop) {
+  n = std::min(n, kBatchOps);
+  // Pass 1: the draws. A private op's block depends on the stack as the
+  // batch's earlier ops leave it, so it only records its depth here (0 for
+  // a forced fresh block). The stack is empty only before the first private
+  // op ever, and no depth is drawn then.
+  bool stack_empty = stack_size() == 0;
+  std::size_t privates = 0;
+  std::size_t i = 0;
+  while (i < n) {
+    NextOp& op = out[i];
+    op = NextOp{};
+    op.gap = draw_gap();
+    if (rng_.chance(params_.share_fraction)) {
+      op.addr = shared_access();
+    } else {
+      const bool force_new = rng_.chance(params_.p_new);
+      pending_[privates++] = {static_cast<std::uint32_t>(i),
+                              (force_new || stack_empty) ? 0 : draw_depth()};
+      stack_empty = false;
+    }
+    op.type = rng_.chance(params_.write_fraction) ? AccessType::kWrite
+                                                  : AccessType::kRead;
+    position += op.gap + 1;
+    ++i;
+    if (position >= stop) break;
+  }
+  // Pass 2: the private ops' LRU-stack moves, in op order.
+  for (std::size_t k = 0; k < privates; ++k) {
+    NextOp& op = out[pending_[k].slot];
     bool was_new = false;
-    op.addr = private_access(was_new);
+    op.addr = private_access(pending_[k].depth, was_new);
     op.prefetchable = was_new && params_.prefetch_friendly_streams;
   }
-  op.type = rng_.chance(params_.write_fraction) ? AccessType::kWrite
-                                                : AccessType::kRead;
+  return i;
+}
+
+NextOp StackDistGenerator::next() {
+  NextOp op;
+  Instructions position = 0;
+  (void)fill(&op, 1, position, ~Instructions{0});
   return op;
 }
 

@@ -20,6 +20,8 @@
 // constructive/destructive interactions of paper §IV-A2.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -70,14 +72,27 @@ struct GenParams {
 
 class StackDistGenerator {
  public:
+  /// Ops one fill() generates at most.
+  static constexpr std::size_t kBatchOps = 256;
+
   /// `private_base` / `shared_base` are the byte addresses where this
   /// thread's private region and the application's shared region begin; the
   /// shared base must be identical across sibling threads.
   StackDistGenerator(const GenParams& params, Rng rng, Addr private_base,
                      Addr shared_base);
 
-  /// Produces the next (gap, memory-access) unit. Deterministic in the
-  /// seeding Rng.
+  /// Generates up to min(n, kBatchOps) (gap, memory-access) units into
+  /// `out` and returns how many, in two passes: every RNG draw, pow and
+  /// log1p first, in the order op by op generation would make them, then
+  /// the batch's LRU-stack moves. Each op advances `position` by its
+  /// gap + 1, and the batch ends after the op that takes `position` to
+  /// `stop` or beyond, so a caller switching params there (a phase
+  /// boundary) gets the stream a one-op-at-a-time caller gets.
+  /// Deterministic in the seeding Rng.
+  std::size_t fill(NextOp* out, std::size_t n, Instructions& position,
+                   Instructions stop);
+
+  /// The next unit: a one-op fill().
   NextOp next();
 
   /// Switches behaviour at a phase boundary. The LRU stack is retained
@@ -99,8 +114,10 @@ class StackDistGenerator {
   Instructions draw_gap();
   std::uint64_t draw_depth();
   Addr shared_access();
-  /// Returns the address; sets `was_new` when a never-seen block was touched.
-  Addr private_access(bool& was_new);
+  /// Re-references the block at stack depth `depth` (1 = MRU), or touches a
+  /// fresh block when `depth` is 0 or beyond the stack. Returns the address;
+  /// sets `was_new` when a never-seen block was touched.
+  Addr private_access(std::uint64_t depth, bool& was_new);
 
   /// Re-derives the cached per-params terms below (phase switch / ctor).
   void refresh_param_cache();
@@ -131,6 +148,13 @@ class StackDistGenerator {
   std::vector<std::uint32_t> stack_;
   std::size_t base_ = 0;
   std::uint32_t next_block_ = 0;
+
+  /// A private op of the batch being generated: its slot and drawn depth.
+  struct PendingPrivate {
+    std::uint32_t slot = 0;
+    std::uint64_t depth = 0;
+  };
+  std::array<PendingPrivate, kBatchOps> pending_;
 };
 
 }  // namespace capart::trace

@@ -8,8 +8,10 @@
 #include <array>
 #include <atomic>
 #include <cstdio>
+#include <cstddef>
 #include <cstring>
 #include <fstream>
+#include <utility>
 
 #include "src/common/check.hpp"
 #include "src/common/error.hpp"
@@ -68,42 +70,66 @@ NextOp unpack_op(const PackedOp& packed) noexcept {
   return op;
 }
 
-void write_packed_trace_file(const std::string& path, const std::string& key,
-                             std::span<const PackedOp> ops) {
+PackedTraceWriter::PackedTraceWriter(std::string path, const std::string& key)
+    : path_(std::move(path)) {
   // The temp name must be unique per *writer*, not per process: parallel
   // arms (--jobs) in one process can spool the same key concurrently, and a
   // shared temp path would let one writer rename the other's file away.
   static std::atomic<std::uint64_t> writer_serial{0};
-  const std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
-                          std::to_string(writer_serial.fetch_add(1));
-  {
-    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-    if (!os.is_open()) {
-      throw Error("trace: cannot open " + tmp + " for writing");
-    }
-    PackedHeader header{};
-    header.magic = kPackedMagic;
-    header.version = kPackedVersion;
-    header.key_bytes = static_cast<std::uint32_t>(key.size());
-    header.count = ops.size();
-    os.write(reinterpret_cast<const char*>(&header), sizeof(header));
-    os.write(key.data(), static_cast<std::streamsize>(key.size()));
-    const std::size_t pad =
-        packed_records_offset(header.key_bytes) - sizeof(header) - key.size();
-    const std::array<char, sizeof(PackedOp)> zeros{};
-    os.write(zeros.data(), static_cast<std::streamsize>(pad));
-    os.write(reinterpret_cast<const char*>(ops.data()),
-             static_cast<std::streamsize>(ops.size_bytes()));
-    if (!os.good()) {
-      os.close();
-      std::remove(tmp.c_str());
-      throw Error("trace: write failed for " + tmp);
-    }
+  tmp_ = path_ + ".tmp." + std::to_string(::getpid()) + "." +
+         std::to_string(writer_serial.fetch_add(1));
+  os_.open(tmp_, std::ios::binary | std::ios::trunc);
+  if (!os_.is_open()) {
+    throw Error("trace: cannot open " + tmp_ + " for writing");
   }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw Error("trace: cannot rename " + tmp + " to " + path);
+  // The record count stays 0 until finish() patches it in.
+  PackedHeader header{};
+  header.magic = kPackedMagic;
+  header.version = kPackedVersion;
+  header.key_bytes = static_cast<std::uint32_t>(key.size());
+  os_.write(reinterpret_cast<const char*>(&header), sizeof(header));
+  os_.write(key.data(), static_cast<std::streamsize>(key.size()));
+  const std::size_t pad =
+      packed_records_offset(header.key_bytes) - sizeof(header) - key.size();
+  const std::array<char, sizeof(PackedOp)> zeros{};
+  os_.write(zeros.data(), static_cast<std::streamsize>(pad));
+  if (!os_.good()) {
+    // No destructor runs for a throwing constructor: clean up here.
+    os_.close();
+    std::remove(tmp_.c_str());
+    throw Error("trace: write failed for " + tmp_);
   }
+}
+
+PackedTraceWriter::~PackedTraceWriter() {
+  if (finished_) return;
+  os_.close();
+  std::remove(tmp_.c_str());
+}
+
+void PackedTraceWriter::append(std::span<const PackedOp> ops) {
+  os_.write(reinterpret_cast<const char*>(ops.data()),
+            static_cast<std::streamsize>(ops.size_bytes()));
+  if (!os_.good()) throw Error("trace: write failed for " + tmp_);
+  count_ += ops.size();
+}
+
+void PackedTraceWriter::finish() {
+  os_.seekp(static_cast<std::streamoff>(offsetof(PackedHeader, count)));
+  os_.write(reinterpret_cast<const char*>(&count_), sizeof(count_));
+  os_.close();
+  if (os_.fail()) throw Error("trace: write failed for " + tmp_);
+  if (std::rename(tmp_.c_str(), path_.c_str()) != 0) {
+    throw Error("trace: cannot rename " + tmp_ + " to " + path_);
+  }
+  finished_ = true;
+}
+
+void write_packed_trace_file(const std::string& path, const std::string& key,
+                             std::span<const PackedOp> ops) {
+  PackedTraceWriter writer(path, key);
+  writer.append(ops);
+  writer.finish();
 }
 
 namespace {

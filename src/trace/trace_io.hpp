@@ -6,7 +6,7 @@
 // keeping every other part of the simulator identical. Record/replay of the
 // same run is bit-exact.
 //
-// The format (CAPTRCV2, written by write_packed_trace_file and read by
+// The format (CAPTRCV2, written by PackedTraceWriter and read by
 // MmapTraceFile) is also what the trace spool uses. Records are fixed
 // 16-byte PackedOp structs laid out so a file can be mmap()ed and cast —
 // replay reads straight from the page cache with no decode pass and no
@@ -20,6 +20,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <fstream>
 #include <memory>
 #include <span>
 #include <string>
@@ -43,10 +44,32 @@ static_assert(sizeof(PackedOp) == 16, "PackedOp must stay mmap-castable");
 PackedOp pack_op(const NextOp& op) noexcept;
 NextOp unpack_op(const PackedOp& packed) noexcept;
 
-/// Writes a packed trace. The write goes to a sibling temporary file
-/// first and is renamed into place, so concurrent producers of the same
-/// spool entry can never expose a torn file (both write identical bytes;
-/// last rename wins). Throws capart::Error on I/O failure.
+/// Writes a packed trace as its records are produced: append() them in
+/// order, then finish() patches the record count into the header and
+/// renames the file into place. The write goes to a sibling temporary file
+/// first, so concurrent producers of the same spool entry can never expose
+/// a torn file (both write identical bytes; last rename wins). A writer
+/// destroyed before finish() removes its temporary file. Throws
+/// capart::Error on I/O failure.
+class PackedTraceWriter {
+ public:
+  PackedTraceWriter(std::string path, const std::string& key);
+  ~PackedTraceWriter();
+  PackedTraceWriter(const PackedTraceWriter&) = delete;
+  PackedTraceWriter& operator=(const PackedTraceWriter&) = delete;
+
+  void append(std::span<const PackedOp> ops);
+  void finish();
+
+ private:
+  std::string path_;
+  std::string tmp_;
+  std::ofstream os_;
+  std::uint64_t count_ = 0;
+  bool finished_ = false;
+};
+
+/// Writes a whole packed trace at once (a PackedTraceWriter of one append).
 void write_packed_trace_file(const std::string& path, const std::string& key,
                              std::span<const PackedOp> ops);
 

@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "src/common/rng.hpp"
+#include "src/sim/experiment.hpp"
+#include "src/trace/benchmarks.hpp"
 
 namespace capart::trace {
 namespace {
@@ -103,6 +110,117 @@ TEST(PhasedGenerator, PhaseChangeAffectsBehaviour) {
   }
   sparse_gap /= n;
   EXPECT_GT(sparse_gap, dense_gap * 10);
+}
+
+/// Thread `t`'s generator over `phases`, seeded as a run with seed `seed`
+/// seeds it.
+PhasedGenerator thread_generator(const std::vector<Phase>& phases,
+                                 std::uint64_t seed, ThreadId t) {
+  return PhasedGenerator(PhaseSchedule(phases), Rng(seed).fork(t),
+                         sim::private_region_base(t),
+                         sim::shared_region_base());
+}
+
+/// FNV-1a over (gap, addr, type, prefetchable) of the first 100 k ops of
+/// every thread of `name` at seed 42, drawn in driver-sized batches.
+std::uint64_t stream_digest(const std::string& name, ThreadId threads) {
+  constexpr std::size_t kOps = 100'000;
+  const BenchmarkProfile profile = make_profile(name, threads);
+  std::uint64_t h = 0xCBF29CE484222325ull;
+  const auto mix = [&h](std::uint64_t v, int bytes) {
+    for (int b = 0; b < bytes; ++b) {
+      h ^= (v >> (8 * b)) & 0xFF;
+      h *= 0x100000001B3ull;
+    }
+  };
+  std::vector<NextOp> batch(256);
+  for (ThreadId t = 0; t < threads; ++t) {
+    PhasedGenerator gen = thread_generator(profile.threads[t].phases, 42, t);
+    for (std::size_t done = 0; done < kOps;) {
+      const std::size_t got =
+          gen.fill(batch.data(), std::min(batch.size(), kOps - done));
+      for (std::size_t i = 0; i < got; ++i) {
+        mix(batch[i].gap, 8);
+        mix(batch[i].addr, 8);
+        mix(batch[i].type == AccessType::kWrite ? 1 : 0, 1);
+        mix(batch[i].prefetchable ? 1 : 0, 1);
+      }
+      done += got;
+    }
+  }
+  return h;
+}
+
+TEST(PhasedGenerator, StreamDigestsArePinned) {
+  // Recorded from the per-op generator the batched one replaced. The
+  // differential suites compare paths that all share the generator, so
+  // only this catches a change to the streams themselves.
+  const struct {
+    const char* profile;
+    ThreadId threads;
+    std::uint64_t digest;
+  } kPinned[] = {
+      {"cg", 4, 0xd0a62e524b3a80abull},
+      {"mg", 4, 0x3a07a506629d27b2ull},
+      {"ft", 4, 0xa2b4b541ba4cbcaaull},
+      {"lu", 4, 0xb0401c3f64af157dull},
+      {"bt", 4, 0x3f7d430363fa801bull},
+      {"swim", 4, 0xe20689638915ba35ull},
+      {"mgrid", 4, 0x35fabcc9d996096full},
+      {"applu", 4, 0xae857000e7f68a9full},
+      {"equake", 4, 0x47f164ac7c5310feull},
+      {"cg", 32, 0x4143e233e6f29326ull},
+  };
+  for (const auto& pin : kPinned) {
+    EXPECT_EQ(stream_digest(pin.profile, pin.threads), pin.digest)
+        << std::hex << pin.profile << " x" << std::dec << pin.threads;
+  }
+}
+
+TEST(PhasedGenerator, FillMatchesNextForAnyBatchSize) {
+  // A batch ends after the op that crosses a phase boundary, so batches of
+  // any size must give next()'s stream. swim's and applu's phased threads
+  // switch 350-700 k instructions in; the last schedule switches every
+  // few thousand ops, and every other switch shrinks the working set
+  // (set_params drops the least recently used blocks).
+  constexpr std::size_t kOps = 250'000;
+  const BenchmarkProfile swim = make_profile("swim", 4);
+  const BenchmarkProfile applu = make_profile("applu", 4);
+  Phase wide = make_phase(4'096, 20'000);
+  wide.params.p_new = 0.01;
+  Phase narrow = make_phase(300, 13'000);
+  narrow.params.reuse_skew = 0.7;
+  const struct {
+    std::string what;
+    std::vector<Phase> phases;
+    ThreadId thread;
+  } kCases[] = {
+      {"swim/0", swim.threads[0].phases, 0},
+      {"swim/1", swim.threads[1].phases, 1},
+      {"swim/3", swim.threads[3].phases, 3},
+      {"applu/3", applu.threads[3].phases, 3},
+      {"shrink", {wide, narrow}, 2},
+  };
+  for (const auto& c : kCases) {
+    PhasedGenerator reference = thread_generator(c.phases, 7, c.thread);
+    std::vector<NextOp> want(kOps);
+    for (NextOp& op : want) op = reference.next();
+    ASSERT_GT(reference.position(), c.phases.front().duration) << c.what;
+    for (const std::size_t batch : {1u, 3u, 255u, 256u, 257u, 1000u}) {
+      PhasedGenerator gen = thread_generator(c.phases, 7, c.thread);
+      std::vector<NextOp> got(kOps + batch);
+      for (std::size_t done = 0; done < kOps;) {
+        done += gen.fill(got.data() + done, batch);
+      }
+      for (std::size_t i = 0; i < kOps; ++i) {
+        const bool same = got[i].gap == want[i].gap &&
+                          got[i].addr == want[i].addr &&
+                          got[i].type == want[i].type &&
+                          got[i].prefetchable == want[i].prefetchable;
+        ASSERT_TRUE(same) << c.what << " batch " << batch << " op " << i;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -1,24 +1,33 @@
 // Trace-spool contract tests: spooled replay is bit-identical to the live
 // generator+private-hierarchy path, spool keys include exactly what shapes a
 // thread's resolved stream, and the in-process registry shares one mapping
-// across arms. A run_experiment without a spool directory takes the
+// across arms. A cold entry set is resolved once however many callers ask
+// at a time, the pooled incremental writer writes exactly the bytes of a
+// whole-stream write, and a failed resolve leaves no file behind. A
+// run_experiment without a spool directory takes the
 // streamed resolve (sim/streamed_resolve.hpp); run_unresolved below is the
 // path whose driver simulates the private caches itself.
 #include "src/sim/trace_spool.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "src/common/error.hpp"
 #include "src/common/rng.hpp"
 #include "src/mem/cache_stats.hpp"
 #include "src/sim/experiment.hpp"
+#include "src/sim/streamed_resolve.hpp"
 #include "src/trace/benchmarks.hpp"
 #include "src/trace/phase.hpp"
 #include "src/trace/trace_io.hpp"
@@ -38,11 +47,30 @@ ExperimentConfig small_config(const std::string& dir) {
   return c;
 }
 
-std::string fresh_dir(const char* name) {
-  const std::string dir = ::testing::TempDir() + "/" + name;
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir;
+/// An empty directory of its own per instance, removed with it. Never
+/// reused: the in-process registry keeps every spool path it has mapped,
+/// so a test repeated in one process (--gtest_repeat) would otherwise
+/// find its entries in the registry instead of resolving them.
+struct ScratchDir {
+  explicit ScratchDir(const std::string& name) {
+    static std::atomic<unsigned> serial{0};
+    path = ::testing::TempDir() + "/" + name + "." +
+           std::to_string(::getpid()) + "." + std::to_string(serial++);
+    std::filesystem::remove_all(path);
+    std::filesystem::create_directories(path);
+  }
+  ~ScratchDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path, ec);
+  }
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
+
+  std::string path;
+};
+
+Instructions per_thread_work(const ExperimentConfig& cfg) {
+  return cfg.interval_instructions * cfg.num_intervals / cfg.num_threads;
 }
 
 /// Live generators handed in by the caller: the unresolved path, where the
@@ -85,7 +113,8 @@ void expect_identical(const ExperimentResult& a, const ExperimentResult& b) {
 }
 
 TEST(TraceSpool, SpooledRunIsBitIdenticalToLive) {
-  const std::string dir = fresh_dir("capart_spool_ident");
+  const ScratchDir scratch("capart_spool_ident");
+  const std::string& dir = scratch.path;
   ExperimentConfig live = small_config("");
   ExperimentConfig spooled = small_config(dir);
   const ExperimentResult a = run_unresolved(live);
@@ -104,7 +133,8 @@ TEST(TraceSpool, SpooledRunIsBitIdenticalToLive) {
 }
 
 TEST(TraceSpool, PrivateL2RunsSpoolAndMatchToo) {
-  const std::string dir = fresh_dir("capart_spool_pl2");
+  const ScratchDir scratch("capart_spool_pl2");
+  const std::string& dir = scratch.path;
   ExperimentConfig live = small_config("");
   live.enable_private_l2 = true;
   ExperimentConfig spooled = live;
@@ -149,7 +179,8 @@ TEST(TraceSpool, KeyCoversStreamIdentityAndNothingElse) {
 }
 
 TEST(TraceSpool, MigrationRunsAreIneligible) {
-  ExperimentConfig cfg = small_config(fresh_dir("capart_spool_mig"));
+  const ScratchDir scratch("capart_spool_mig");
+  ExperimentConfig cfg = small_config(scratch.path);
   cfg.migrations.push_back({.interval = 2, .a = 0, .b = 1});
   // Migrations rebind threads to foreign L1s mid-run; a resolved trace bakes
   // in the static binding, so such runs must fall back to live simulation.
@@ -174,7 +205,8 @@ std::filesystem::path plant_spool_decoy(const std::string& dir,
 }
 
 TEST(TraceSpool, GcEvictsOldestFirstDownToTheCap) {
-  const std::string dir = fresh_dir("capart_spool_gc");
+  const ScratchDir scratch("capart_spool_gc");
+  const std::string& dir = scratch.path;
   const auto oldest = plant_spool_decoy(dir, "a", 1000, 3);
   const auto middle = plant_spool_decoy(dir, "b", 1000, 2);
   const auto newest = plant_spool_decoy(dir, "c", 1000, 1);
@@ -205,7 +237,8 @@ TEST(TraceSpool, GcSkipsEntriesHeldByThisProcess) {
   // A spooled run leaves its files in the in-process registry; a cap that
   // would evict everything must still keep them (deleting a held entry
   // would force a pointless regenerate) while unheld decoys are collected.
-  const std::string dir = fresh_dir("capart_spool_gc_held");
+  const ScratchDir scratch("capart_spool_gc_held");
+  const std::string& dir = scratch.path;
   ExperimentConfig cfg = small_config(dir);
   cfg.seed = 22;
   (void)run_experiment(cfg);
@@ -233,7 +266,8 @@ TEST(TraceSpool, GcSkipsEntriesHeldByThisProcess) {
 TEST(TraceSpool, StreamReadFallbackIsBitIdenticalToMmap) {
   // Force the no-mmap path: opens go through the stream reader, the file
   // reports streamed(), and a full spooled run still matches live exactly.
-  const std::string dir = fresh_dir("capart_spool_stream");
+  const ScratchDir scratch("capart_spool_stream");
+  const std::string& dir = scratch.path;
   ExperimentConfig cfg = small_config(dir);
   cfg.seed = 23;  // fresh identity: earlier tests' mappings stay cached
   ExperimentConfig live = cfg;
@@ -242,9 +276,7 @@ TEST(TraceSpool, StreamReadFallbackIsBitIdenticalToMmap) {
   trace::MmapTraceFile::force_stream_io_for_testing(true);
   const ExperimentResult streamed = run_experiment(cfg);
 
-  const Instructions per_thread =
-      cfg.interval_instructions * cfg.num_intervals / cfg.num_threads;
-  const std::string key = spool_key(cfg, per_thread, 0);
+  const std::string key = spool_key(cfg, per_thread_work(cfg), 0);
   const auto file = trace::MmapTraceFile::open(spool_path(dir, key), key);
   ASSERT_NE(file, nullptr);
   EXPECT_TRUE(file->streamed());
@@ -263,6 +295,165 @@ TEST(TraceSpool, StreamReadFallbackIsBitIdenticalToMmap) {
   }
 
   expect_identical(run_experiment(live), streamed);
+}
+
+/// Every record of `source`, which replays a spool entry of `records` ops.
+std::vector<trace::NextOp> drain_source(trace::OpSource& source,
+                                        std::size_t records) {
+  std::vector<trace::NextOp> ops(records);
+  for (std::size_t done = 0; done < records;) {
+    done += source.fill(ops.data() + done,
+                        std::min<std::size_t>(256, records - done));
+  }
+  return ops;
+}
+
+TEST(TraceSpool, ConcurrentColdAcquirersResolveEachStreamOnce) {
+  // Four arms asking for one cold entry set at once: one of them resolves
+  // each stream, the others wait for its files.
+  const ScratchDir scratch("capart_spool_concurrent");
+  ExperimentConfig cfg = small_config(scratch.path);
+  cfg.seed = 24;
+  const Instructions per_thread = per_thread_work(cfg);
+  const std::uint64_t resolved_before = spool_streams_resolved_for_testing();
+  std::vector<std::vector<std::unique_ptr<trace::OpSource>>> sets(4);
+  {
+    std::vector<std::thread> acquirers;
+    for (auto& set : sets) {
+      acquirers.emplace_back(
+          [&cfg, &set, per_thread] { set = spool_sources(cfg, per_thread); });
+    }
+    for (std::thread& acquirer : acquirers) acquirer.join();
+  }
+  EXPECT_EQ(spool_streams_resolved_for_testing() - resolved_before,
+            cfg.num_threads);
+
+  for (ThreadId t = 0; t < cfg.num_threads; ++t) {
+    const std::string key = spool_key(cfg, per_thread, t);
+    const auto file =
+        trace::MmapTraceFile::open(spool_path(scratch.path, key), key);
+    ASSERT_NE(file, nullptr);
+    const std::size_t records = file->ops().size();
+    ASSERT_EQ(sets[0].size(), cfg.num_threads);
+    const std::vector<trace::NextOp> first =
+        drain_source(*sets[0][t], records);
+    for (std::size_t k = 1; k < sets.size(); ++k) {
+      ASSERT_EQ(sets[k].size(), cfg.num_threads);
+      const std::vector<trace::NextOp> other =
+          drain_source(*sets[k][t], records);
+      for (std::size_t i = 0; i < records; ++i) {
+        const trace::PackedOp a = trace::pack_op(first[i]);
+        const trace::PackedOp b = trace::pack_op(other[i]);
+        ASSERT_EQ(std::memcmp(&a, &b, sizeof(a)), 0)
+            << "set " << k << " thread " << t << " op " << i;
+      }
+    }
+  }
+}
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+/// Spools `cfg` cold, once on the helper pool and once inline only, and
+/// checks every file of both against write_packed_trace_file over the
+/// whole of a serial ThreadResolver pass.
+void expect_spool_files_match_whole_stream_writes(ExperimentConfig cfg,
+                                                  const std::string& what) {
+  const ScratchDir pooled("capart_spool_pooled");
+  const ScratchDir inline_only("capart_spool_inline");
+  const ScratchDir reference("capart_spool_reference");
+  const Instructions per_thread = per_thread_work(cfg);
+  cfg.trace_spool_dir = pooled.path;
+  ASSERT_EQ(spool_sources(cfg, per_thread).size(), cfg.num_threads);
+  cfg.trace_spool_dir = inline_only.path;
+  force_inline_resolve_for_testing(true);
+  const std::size_t inline_sources = spool_sources(cfg, per_thread).size();
+  force_inline_resolve_for_testing(false);
+  ASSERT_EQ(inline_sources, cfg.num_threads);
+
+  const ResolveSpec spec = make_resolve_spec(
+      cfg, trace::make_profile(cfg.profile, cfg.num_threads), per_thread);
+  for (ThreadId t = 0; t < cfg.num_threads; ++t) {
+    ThreadResolver resolver(spec, t);
+    std::vector<trace::PackedOp> records;
+    std::vector<trace::NextOp> batch(256);
+    while (const std::size_t got = resolver.fill(batch.data(), batch.size())) {
+      for (std::size_t i = 0; i < got; ++i) {
+        records.push_back(trace::pack_op(batch[i]));
+      }
+    }
+    const std::string key = spool_key(cfg, per_thread, t);
+    const std::string expected_path = spool_path(reference.path, key);
+    trace::write_packed_trace_file(expected_path, key, records);
+    const std::string expected = file_bytes(expected_path);
+    ASSERT_GT(expected.size(), records.size() * sizeof(trace::PackedOp));
+    EXPECT_EQ(file_bytes(spool_path(pooled.path, key)), expected)
+        << what << " pooled, thread " << t;
+    EXPECT_EQ(file_bytes(spool_path(inline_only.path, key)), expected)
+        << what << " inline, thread " << t;
+  }
+}
+
+TEST(TraceSpool, IncrementalWriterMatchesWholeStreamWrites) {
+  expect_spool_files_match_whole_stream_writes(small_config(""), "cg/4t");
+
+  ExperimentConfig wide = small_config("");
+  wide.num_threads = 32;
+  wide.interval_instructions = 32 * 6'000;
+  expect_spool_files_match_whole_stream_writes(wide, "cg/32t");
+
+  // 960 k instructions per thread: every swim thread crosses a phase
+  // switch, with a private L2 behind each L1.
+  ExperimentConfig swim = small_config("");
+  swim.profile = "swim";
+  swim.num_intervals = 16;
+  swim.interval_instructions = 240'000;
+  swim.enable_private_l2 = true;
+  expect_spool_files_match_whole_stream_writes(swim, "swim/pl2");
+}
+
+TEST(TraceSpool, HelperFaultDuringAColdAcquisitionLeavesNoFiles) {
+  if (streamed_resolve_helpers() == 0) {
+    GTEST_SKIP() << "single-CPU affinity: no helper threads to fail";
+  }
+  const ScratchDir scratch("capart_spool_fault");
+  ExperimentConfig cfg = small_config(scratch.path);
+  cfg.seed = 25;
+  cfg.num_intervals = 40;
+  const Instructions per_thread = per_thread_work(cfg);
+  fail_helper_chunks_for_testing(true);
+  // Every caller of a failed acquisition gets the error: the one that
+  // resolved it, and the ones that waited for it (or retried it).
+  std::vector<std::string> errors(3);
+  {
+    std::vector<std::thread> acquirers;
+    for (std::string& error : errors) {
+      acquirers.emplace_back([&cfg, &error, per_thread] {
+        try {
+          (void)spool_sources(cfg, per_thread);
+        } catch (const Error& e) {
+          error = e.what();
+        }
+      });
+    }
+    for (std::thread& acquirer : acquirers) acquirer.join();
+  }
+  fail_helper_chunks_for_testing(false);
+  for (const std::string& error : errors) {
+    EXPECT_NE(error.find("injected helper fault"), std::string::npos)
+        << "'" << error << "'";
+  }
+  for (const auto& entry : std::filesystem::directory_iterator(scratch.path)) {
+    ADD_FAILURE() << "left behind: " << entry.path().filename().string();
+  }
+
+  // Nothing is poisoned: the same acquisition now resolves and replays.
+  ExperimentConfig live = cfg;
+  live.trace_spool_dir.clear();
+  expect_identical(run_experiment(live), run_experiment(cfg));
 }
 
 }  // namespace
