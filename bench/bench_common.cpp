@@ -50,12 +50,6 @@ BenchOptions parse_options(int argc, char** argv) try {
                      "invalid value for --l2-repl: want lru, plru or srrip\n");
         std::exit(2);
       }
-    } else if (key == "--l2-index") {
-      if (!mem::parse_index_kind(value, opt.l2_index)) {
-        std::fprintf(stderr,
-                     "invalid value for --l2-index: want scan, hash or auto\n");
-        std::exit(2);
-      }
     } else if (key == "--l2-banks") {
       opt.l2_banks = parse_u32_flag(value, "--l2-banks");
     } else if (key == "--l2-enforce") {
@@ -100,7 +94,7 @@ BenchOptions parse_options(int argc, char** argv) try {
           "--jobs=N\n"
           "       --trace-dir=DIR --trace-dir-max-bytes=N\n"
           "       --profile=NAME[,..] --arm-retries=N --arm-deadline=SECONDS\n"
-          "       --l2-repl=lru|plru|srrip --l2-index=scan|hash|auto\n"
+          "       --l2-repl=lru|plru|srrip\n"
           "       --l2-banks=N --l2-enforce=default|eviction-control|clos\n"
           "       --clos-budget=N --clos-mapper=none|nearest|minmax|lfoc\n"
           "       --events-out=PATH --trace-out=STEM --csv=STEM\n"
@@ -108,9 +102,6 @@ BenchOptions parse_options(int argc, char** argv) try {
           "profiles\n"
           "                  (default: the bench's own list)\n"
           "  --l2-repl=NAME  shared-L2 replacement policy (default lru)\n"
-          "  --l2-index=NAME shared-L2 tag lookup (default auto; "
-          "bit-identical\n"
-          "                  results across kinds, different speed)\n"
           "  --l2-banks=N    banked shared L2 (power of two; 0 = monolithic "
           "with\n"
           "                  infinite bandwidth; contents bit-identical)\n"
@@ -167,7 +158,6 @@ sim::ExperimentConfig base_config(const BenchOptions& opt,
   cfg.interval_instructions = resolved_interval_instructions(opt);
   cfg.seed = opt.seed;
   cfg.l2.repl = opt.l2_repl;
-  cfg.l2.index = opt.l2_index;
   cfg.l2_banks = opt.l2_banks;
   cfg.l2_enforce = opt.l2_enforce;
   cfg.clos_budget = opt.clos_budget;

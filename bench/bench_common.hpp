@@ -7,8 +7,6 @@
 //   --profile=NAME[,..]     restrict the bench to these workload profiles
 //                           (default: the bench's own list)
 //   --seed=N                workload seed (default 42)
-//   --l2-index=NAME         shared-L2 tag lookup: scan hash auto (default
-//                           auto; bit-identical results, different speed)
 //   --l2-banks=N            banked shared L2 (power of two; 0 = monolithic
 //                           with infinite bandwidth; contents bit-identical)
 //   --l2-enforce=NAME       partition enforcement: default eviction-control
@@ -50,7 +48,6 @@
 
 #include "src/core/clos_mapper.hpp"
 #include "src/core/partitioner_registry.hpp"
-#include "src/mem/block_index.hpp"
 #include "src/mem/l2_organization.hpp"
 #include "src/mem/replacement.hpp"
 #include "src/sim/batch.hpp"
@@ -82,10 +79,6 @@ struct BenchOptions {
   /// Shared-L2 replacement policy (--l2-repl=lru|plru|srrip). True LRU is
   /// the paper-faithful default; abl_replacement sweeps the others.
   mem::ReplacementKind l2_repl = mem::ReplacementKind::kTrueLru;
-  /// Shared-L2 tag-lookup mechanism (--l2-index=scan|hash|auto). Purely an
-  /// engineering knob — results are bit-identical across kinds; the
-  /// perfsmoke harness sweeps it to quantify the hot-path win.
-  mem::IndexKind l2_index = mem::IndexKind::kAuto;
   /// Banked shared L2 (--l2-banks=N, power of two; 0 = monolithic with
   /// infinite bandwidth). Contents stay bit-identical; banks drive the
   /// contention model and per-bank stats.

@@ -27,8 +27,8 @@ namespace capart::detail {
 
 // Debug-only variant for per-access hot paths: argument validation that a
 // caller bug would trip on the very first access does not need to be re-run
-// millions of times per second in release builds (the perf-regression
-// harness in tools/capart_perfsmoke guards the cost). Active in builds
+// millions of times per second in release builds (capart_bench, in
+// bench/e2e, measures the hot path they would slow). Active in builds
 // without NDEBUG and in sanitizer builds (CAPART_SANITIZE defines
 // CAPART_ENABLE_DCHECKS); compiled out otherwise.
 #if !defined(NDEBUG) || defined(CAPART_ENABLE_DCHECKS)

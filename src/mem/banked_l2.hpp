@@ -1,22 +1,25 @@
-// Address-interleaved banked shared L2.
+// The shared way-granular L2: shared unpartitioned, §V eviction control,
+// flush-reconfiguration and CAT-style CLOS masks, at any bank count.
 //
 // A many-core shared cache is physically sliced: N banks, each a complete
 // set-associative structure holding 1/N of the sets, selected by the low
 // bits of the set index (line interleaving). This file provides that
 // organization over per-bank `CacheCore`s while keeping the *logical*
-// behaviour of the monolithic cache: the bank-select bits partition the sets,
-// every global set maps to exactly one (bank, in-bank set), and all per-set
-// replacement and enforcement state is per-set anyway — so for any
+// behaviour of one monolithic cache: the bank-select bits partition the
+// sets, every global set maps to exactly one (bank, in-bank set), and all
+// per-set replacement and enforcement state is per-set anyway — so for any
 // power-of-two bank count the hit/miss/victim sequence is bit-identical to a
-// single-bank cache. Banking therefore changes the *timing* (bank conflicts,
-// modeled by the CMP system's contention model, which hashes banks the same
-// way) and the *introspection* (per-bank stats), never the contents.
+// single bank (tests/test_reference_cache.cpp holds 1, 2 and 8 banks to one
+// naive monolithic model). Banking therefore changes the *timing* (bank
+// conflicts, modeled by the CMP system's contention model, which hashes
+// banks the same way) and the *introspection* (per-bank stats), never the
+// contents. The monolithic cache is the one-bank case.
 //
-// The banked organization also carries the CAT-style CLOS enforcement
-// (`PartitionEnforcement::kClosWayMask`): way masks are global (every bank
-// enforces the same per-CLOS contiguous mask, as real CAT does per-slice),
-// so a mask update is broadcast to all banks but counted once per changed
-// CLOS — matching the per-MSR-write cost of real hardware.
+// Under CLOS enforcement (`PartitionEnforcement::kClosWayMask`) way masks
+// are global (every bank enforces the same per-CLOS contiguous mask, as real
+// CAT does per-slice), so a mask update is broadcast to all banks but
+// counted once per changed CLOS — matching the per-MSR-write cost of real
+// hardware.
 #pragma once
 
 #include <cstdint>
@@ -30,19 +33,20 @@
 #include "src/mem/cache_stats.hpp"
 #include "src/mem/clos.hpp"
 #include "src/mem/l2_organization.hpp"
-#include "src/mem/partitioned_cache.hpp"
 
 namespace capart::mem {
 
 class BankedL2 final : public L2Organization {
  public:
   /// `banks` must be a nonzero power of two not exceeding the set count.
-  /// With `clos` set, partitioning is enforced through CLOS way masks
-  /// (`clos_budget` classes, initialized round-robin); otherwise through
-  /// `partition_mode` exactly as the monolithic organizations do.
+  /// `enforcement` is kNone, kWayEvictionControl, kWayFlushReconfigure or
+  /// kClosWayMask; under kClosWayMask partitioning goes through
+  /// `clos_budget` CLOS way masks, initialized round-robin. Per-thread way
+  /// targets keep >= 1 way per thread, so the two way-target enforcements
+  /// throw ConfigError when threads outnumber ways.
   BankedL2(const CacheGeometry& geometry, ThreadId num_threads,
-           std::uint32_t banks, PartitionMode partition_mode, bool clos,
-           std::uint32_t clos_budget);
+           std::uint32_t banks, PartitionEnforcement enforcement,
+           std::uint32_t clos_budget = 0);
 
   bool access(ThreadId thread, Addr addr, AccessType type) override;
   bool partitionable() const noexcept override;
@@ -55,10 +59,12 @@ class BankedL2 final : public L2Organization {
   std::uint64_t flushed_on_last_retarget() const noexcept override;
   CacheCore::LookupStats lookup_stats() const noexcept override;
 
-  bool clos_enforced() const noexcept override { return clos_; }
+  bool clos_enforced() const noexcept override {
+    return enforcement_ == PartitionEnforcement::kClosWayMask;
+  }
   std::uint32_t apply_clos_plan(const ClosPlan& plan) override;
   const ClosPlan* clos_plan() const noexcept override {
-    return clos_ ? &plan_ : nullptr;
+    return clos_enforced() ? &plan_ : nullptr;
   }
 
   std::uint32_t bank_count() const noexcept {
@@ -75,11 +81,11 @@ class BankedL2 final : public L2Organization {
 
   CacheGeometry geometry_;  ///< the full (logical) cache
   ThreadId num_threads_;
-  PartitionMode partition_mode_;
-  bool clos_;
+  PartitionEnforcement enforcement_;
+  std::uint32_t bank_mask_;   ///< bank count - 1
   std::uint32_t bank_shift_;  ///< log2(bank count)
   std::vector<CacheCore> banks_;
-  ClosPlan plan_;             ///< meaningful only when clos_
+  ClosPlan plan_;             ///< meaningful only under CLOS enforcement
   mutable CacheStats agg_;    ///< lazily recomputed aggregate of the banks
 };
 

@@ -6,31 +6,10 @@
 
 namespace capart::mem {
 
-std::string_view to_string(IndexKind kind) noexcept {
-  switch (kind) {
-    case IndexKind::kScan: return "scan";
-    case IndexKind::kHash: return "hash";
-    case IndexKind::kAuto: return "auto";
-  }
-  return "unknown";
-}
-
-bool parse_index_kind(std::string_view name, IndexKind& out) noexcept {
-  if (name == "scan") {
-    out = IndexKind::kScan;
-  } else if (name == "hash") {
-    out = IndexKind::kHash;
-  } else if (name == "auto") {
-    out = IndexKind::kAuto;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 BlockWayIndex::BlockWayIndex(std::uint32_t sets, std::uint32_t ways) {
   CAPART_CHECK(sets > 0 && ways > 0, "block index needs sets and ways");
-  CAPART_CHECK(ways < kEmpty, "way count exceeds index encoding");
+  // Way indices stay below kEmpty, the free-slot marker.
+  CAPART_CHECK(ways <= kEmpty, "way count exceeds index encoding");
   // Capacity next_pow2(2 * ways) caps the load factor at 0.5, which keeps
   // linear-probe chains short (expected < 2 probes).
   const std::uint32_t cap = std::bit_ceil(2 * ways);

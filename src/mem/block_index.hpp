@@ -15,8 +15,8 @@
 // proves a miss. Because the index only changes *how* the resident way is
 // found — never which line hits, which way is victimized, or any replacement
 // metadata — cache behaviour is bit-identical to the scan under every
-// replacement policy and enforcement mode (the differential test in
-// tests/test_index_differential.cpp asserts this).
+// replacement policy and enforcement mode (the reference-model tests in
+// tests/test_reference_cache.cpp check both lookups against a naive cache).
 //
 // Collisions use linear probing with backward-shift deletion (no
 // tombstones), so probe chains stay short forever: the per-set load factor
@@ -25,32 +25,20 @@
 
 #include <bit>
 #include <cstdint>
-#include <string_view>
 #include <vector>
 
 namespace capart::mem {
 
-/// How a cache structure locates the resident way of a block.
-enum class IndexKind : std::uint8_t {
-  /// Linear scan over all ways (the historical behaviour; O(ways)).
-  kScan,
-  /// Incremental block->way open-addressing index (O(1) expected).
-  kHash,
-  /// kHash at the associativities where it wins, kScan below (default).
-  kAuto,
-};
-
-std::string_view to_string(IndexKind kind) noexcept;
-
-/// Parses "scan" / "hash" / "auto"; returns false on anything else.
-bool parse_index_kind(std::string_view name, IndexKind& out) noexcept;
-
-/// The two concrete lookup mechanisms (sweeps and differential tests; kAuto
-/// always resolves to one of these).
-inline constexpr IndexKind kAllIndexMechanisms[] = {
-    IndexKind::kScan,
-    IndexKind::kHash,
-};
+/// Whether a structure of `ways` ways finds its resident lines through a
+/// BlockWayIndex rather than the vectorized tag scan of simd.hpp. The scan
+/// wins at small associativities (the L1s and private-L2 slices) and loses
+/// to the index from about 16 ways up (the crossover bench/micro_cache
+/// measures with BM_IndexHit and BM_IndexMissEvictionControl); the paper's
+/// 64-way shared L2 and its UMON shadow directories take the index. Either
+/// way the same line is found, so results never depend on this rule.
+constexpr bool use_block_index(std::uint32_t ways) noexcept {
+  return ways >= 16;
+}
 
 class BlockWayIndex {
  public:

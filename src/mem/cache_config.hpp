@@ -3,10 +3,10 @@
 
 #include <bit>
 #include <cstdint>
+#include <string>
 
 #include "src/common/error.hpp"
 #include "src/common/types.hpp"
-#include "src/mem/block_index.hpp"
 #include "src/mem/replacement.hpp"
 
 namespace capart::mem {
@@ -25,11 +25,6 @@ struct CacheGeometry {
   /// default; tree-PLRU and SRRIP are hardware-realism alternatives (the
   /// abl_replacement ablation). Not part of the address decomposition.
   ReplacementKind repl = ReplacementKind::kTrueLru;
-  /// Tag-lookup mechanism (--l2-index): linear scan over the ways, the
-  /// incremental block->way hash index, or auto (hash at the
-  /// associativities where it wins). Purely an engineering knob — results
-  /// are bit-identical across kinds; see src/mem/block_index.hpp.
-  IndexKind index = IndexKind::kAuto;
 
   constexpr std::uint64_t size_bytes() const noexcept {
     return static_cast<std::uint64_t>(sets) * ways * line_bytes;
@@ -46,6 +41,11 @@ struct CacheGeometry {
     if (ways == 0) {
       throw ConfigError("ways", "cache must have at least one way");
     }
+    // Way indices and per-set line counts are 16-bit.
+    if (ways > 65535) {
+      throw ConfigError("ways", "cache supports at most 65535 ways (got " +
+                                    std::to_string(ways) + ")");
+    }
     if (!(line_bytes >= 8 && std::has_single_bit(line_bytes))) {
       throw ConfigError("line_bytes",
                         "line size must be a power of two >= 8 (got " +
@@ -53,23 +53,16 @@ struct CacheGeometry {
     }
   }
 
-  /// Block number (line-granular address).
+  /// Block number (line-granular address). The line size is a power of two
+  /// (validate), so this is a shift: a division would put its latency in
+  /// front of every set lookup — and, in a banked L2, of the bank select.
   constexpr std::uint64_t block_of(Addr addr) const noexcept {
-    return addr / line_bytes;
+    return addr >> std::countr_zero(line_bytes);
   }
 
   /// Set index for a block number.
   constexpr std::uint32_t set_of_block(std::uint64_t block) const noexcept {
     return static_cast<std::uint32_t>(block & (sets - 1));
-  }
-
-  /// The concrete lookup mechanism `index` selects for this geometry. kAuto
-  /// picks the hash index once the scan has enough ways to lose to it (the
-  /// crossover measured by bench/micro_cache sits well below 16 ways; small
-  /// L1-like structures keep the branch-free scan).
-  constexpr IndexKind resolved_index() const noexcept {
-    if (index != IndexKind::kAuto) return index;
-    return ways >= 16 ? IndexKind::kHash : IndexKind::kScan;
   }
 };
 

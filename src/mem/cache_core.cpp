@@ -23,7 +23,6 @@ CacheCore::CacheCore(const CacheGeometry& geometry, ThreadId num_threads,
     : geometry_(geometry),
       num_threads_(num_threads),
       enforcement_(enforcement),
-      index_kind_(geometry.resolved_index()),
       stats_(num_threads) {
   geometry_.validate();
   CAPART_CHECK(num_threads_ > 0, "cache core needs >= 1 thread");
@@ -40,7 +39,7 @@ CacheCore::CacheCore(const CacheGeometry& geometry, ThreadId num_threads,
   owned_.assign(static_cast<std::size_t>(geometry_.sets) * num_threads_, 0);
   fill_count_.assign(geometry_.sets, 0);
   owned_totals_.assign(num_threads_, 0);
-  if (index_kind_ == IndexKind::kHash) {
+  if (use_block_index(geometry_.ways)) {
     index_ = std::make_unique<BlockWayIndex>(geometry_.sets, geometry_.ways);
   }
   // Start from an equal split (paper Fig 13 initialization). Recorded in all

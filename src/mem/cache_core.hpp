@@ -1,10 +1,6 @@
-// The unified cache core behind every cache structure in the simulator.
-//
-// Historically `SetAssocCache`, `PartitionedCache`, and `SetPartitionedCache`
-// each carried their own stamp-scan LRU, victim loop, and statistics — three
-// copies of the hottest code in the simulator, and three places to touch for
-// any second replacement policy. The core factors the shared machinery into
-// one class along two orthogonal axes:
+// The one cache class of the simulator: every private L1, private-L2 slice,
+// shared-L2 bank and the coloring organization's sets are a `CacheCore`.
+// It is built along two orthogonal axes:
 //
 //   * replacement — a pluggable `ReplacementPolicy` (true LRU / tree-PLRU /
 //     SRRIP) with compact per-set metadata, selected via
@@ -12,19 +8,17 @@
 //   * enforcement — how partitioning constrains victim choice
 //     (`PartitionEnforcement`): none, way partitioning by eviction control
 //     (paper §V), way partitioning by flush-reconfiguration (the alternative
-//     §V argues against), or set partitioning (the coloring wrapper maps
-//     blocks to sets itself and victimizes globally within the set).
+//     §V argues against), set partitioning (the coloring organization maps
+//     blocks to sets itself and victimizes globally within the set), or
+//     CAT-style way masks.
 //
-// The legacy classes remain as thin wrappers with their exact historical
-// APIs; under true LRU the core reproduces their observable behaviour
-// bit-identically (stamps induced a total recency order; the recency
-// permutation is that same order stored compactly).
-//
-// Tag lookup — finding the resident way of a block — is a third, purely
-// mechanical axis (`CacheGeometry::index`): a linear scan over the ways, or
-// the incremental block->way hash index of block_index.hpp. The choice never
-// affects which line hits or which way is victimized, only the cost of
-// finding out; results are bit-identical across kinds.
+// Tag lookup — finding the resident way of a block — is mechanical: a
+// vectorized scan over the ways at small associativities, the incremental
+// block->way hash index of block_index.hpp from 16 ways up
+// (use_block_index). It never affects which line hits or which way is
+// victimized, only the cost of finding out. tests/reference_cache.hpp
+// models the same semantics naively, and tests/test_reference_cache.cpp
+// holds every mode of this class to it.
 //
 // Line metadata is struct-of-arrays with validity folded into the tag array
 // (kInvalidTag marks an empty way — see replacement.hpp), so the scan probe
@@ -112,8 +106,9 @@ class CacheCore {
   /// One access by `thread` to the set `geometry().set_of_block(block)`.
   AccessResult access(ThreadId thread, Addr addr, AccessType type);
 
-  /// One access with a caller-supplied set index (the coloring wrapper maps
-  /// blocks to sets through page ownership instead of the address bits).
+  /// One access with a caller-supplied set index (the coloring organization
+  /// maps blocks to sets through page ownership instead of the address
+  /// bits).
   AccessResult access_in_set(ThreadId thread, std::uint64_t block,
                              std::uint32_t set, AccessType type);
 
@@ -150,7 +145,7 @@ class CacheCore {
   /// True when `block` is resident in the address-mapped set.
   bool contains(Addr addr) const noexcept;
 
-  /// True when `block` is resident in `set` (coloring wrapper lookup).
+  /// True when `block` is resident in `set` (coloring organization lookup).
   bool contains_block_in_set(std::uint64_t block,
                              std::uint32_t set) const noexcept;
 
@@ -166,8 +161,6 @@ class CacheCore {
   ThreadId num_threads() const noexcept { return num_threads_; }
   PartitionEnforcement enforcement() const noexcept { return enforcement_; }
   ReplacementKind replacement_kind() const noexcept { return repl_->kind(); }
-  /// The concrete lookup mechanism in force (kAuto already resolved).
-  IndexKind index_kind() const noexcept { return index_kind_; }
   const LookupStats& lookup_stats() const noexcept { return lookup_stats_; }
 
  private:
@@ -185,7 +178,7 @@ class CacheCore {
   /// replacement policy's pick within the enforcement-permitted scope.
   std::uint32_t choose_victim(std::uint32_t set, ThreadId thread);
 
-  /// Resident way of `block` in `set` via the configured mechanism, or
+  /// Resident way of `block` in `set` via the index or the scan, or
   /// BlockWayIndex::kNotFound; `probes` receives the slots/ways examined.
   std::uint32_t find_way(std::uint32_t set, std::uint64_t block,
                          std::uint32_t& probes) const noexcept;
@@ -216,7 +209,6 @@ class CacheCore {
   /// (bit-identical: with one thread all scopes admit exactly the valid
   /// lines). owned_in_set/owned_total derive from fill counts instead.
   bool mono_ = false;
-  IndexKind index_kind_;
   std::unique_ptr<ReplacementPolicy> repl_;
   /// repl_'s LruList when the policy is true LRU (the default), else null:
   /// the per-access touch then inlines instead of dispatching virtually.
@@ -235,8 +227,8 @@ class CacheCore {
   /// Per-thread total of owned lines across all sets, maintained on
   /// fill/evict/flush so owned_total() is O(1) instead of an O(sets) sweep.
   std::vector<std::uint64_t> owned_totals_;
-  /// Block->way index (only when index_kind_ == kHash); mirrors the valid
-  /// lines exactly — see block_index.hpp for the invariant.
+  /// Block->way index (only where use_block_index(ways)); mirrors the
+  /// valid lines exactly — see block_index.hpp for the invariant.
   std::unique_ptr<BlockWayIndex> index_;
   std::vector<std::uint32_t> targets_;
   /// Per-thread CLOS way masks (kClosWayMask only; empty otherwise).

@@ -2,6 +2,7 @@
 
 #include "src/common/check.hpp"
 #include "src/mem/banked_l2.hpp"
+#include "src/mem/set_partitioned_l2.hpp"
 
 namespace capart::mem {
 
@@ -49,83 +50,38 @@ std::unique_ptr<L2Organization> make_l2(L2Mode mode,
                                         const L2BuildOptions& opts) {
   const std::uint32_t banks = opts.banks == 0 ? 1 : opts.banks;
   if (opts.enforce == L2Enforce::kClosWayMask) {
-    // CLOS masks ride on the banked organization even single-banked; the
-    // mode restriction is validated (with ConfigError) at the config layer.
+    // The mode restriction is validated (with ConfigError) at the config
+    // layer.
     CAPART_CHECK(mode == L2Mode::kPartitionedShared,
                  "clos enforcement requires the partitioned shared mode");
     return std::make_unique<BankedL2>(geometry, num_threads, banks,
-                                      PartitionMode::kEvictionControl,
-                                      /*clos=*/true, opts.clos_budget);
-  }
-  if (banks > 1) {
-    // Only the shared structure is physically banked; the private and
-    // coloring organizations keep their monolithic structures (the bank
-    // knob then only drives the contention model, as before).
-    switch (mode) {
-      case L2Mode::kSharedUnpartitioned:
-        return std::make_unique<BankedL2>(geometry, num_threads, banks,
-                                          PartitionMode::kUnpartitioned,
-                                          /*clos=*/false, 0);
-      case L2Mode::kPartitionedShared:
-        return std::make_unique<BankedL2>(geometry, num_threads, banks,
-                                          PartitionMode::kEvictionControl,
-                                          /*clos=*/false, 0);
-      case L2Mode::kFlushReconfigureShared:
-        return std::make_unique<BankedL2>(geometry, num_threads, banks,
-                                          PartitionMode::kFlushReconfigure,
-                                          /*clos=*/false, 0);
-      default: break;  // fall through to the monolithic organizations
-    }
+                                      PartitionEnforcement::kClosWayMask,
+                                      opts.clos_budget);
   }
   switch (mode) {
     case L2Mode::kSharedUnpartitioned:
-      return std::make_unique<SharedOrPartitionedL2>(
-          geometry, num_threads, PartitionMode::kUnpartitioned);
+      return std::make_unique<BankedL2>(geometry, num_threads, banks,
+                                        PartitionEnforcement::kNone);
     case L2Mode::kPartitionedShared:
-      return std::make_unique<SharedOrPartitionedL2>(
-          geometry, num_threads, PartitionMode::kEvictionControl);
+      return std::make_unique<BankedL2>(
+          geometry, num_threads, banks,
+          PartitionEnforcement::kWayEvictionControl);
+    case L2Mode::kFlushReconfigureShared:
+      return std::make_unique<BankedL2>(
+          geometry, num_threads, banks,
+          PartitionEnforcement::kWayFlushReconfigure);
+    // The private and coloring organizations keep monolithic structures;
+    // banks then only drive the CMP system's contention model.
     case L2Mode::kPrivatePerThread:
       return std::make_unique<PrivateL2>(geometry, num_threads);
     case L2Mode::kSetPartitionedShared:
-      return std::make_unique<SetPartitionedL2>(geometry, num_threads);
-    case L2Mode::kFlushReconfigureShared:
-      return std::make_unique<SharedOrPartitionedL2>(
-          geometry, num_threads, PartitionMode::kFlushReconfigure);
+      // One color per way keeps the policies' [1, ways] target range
+      // intact; with the default 256-set, 64-way cache that is 64 colors of
+      // 4 sets.
+      return std::make_unique<SetPartitionedL2>(
+          geometry, num_threads, /*colors=*/geometry.ways, kColoringPageBytes);
   }
   CAPART_CHECK(false, "unreachable L2 mode");
-}
-
-SharedOrPartitionedL2::SharedOrPartitionedL2(const CacheGeometry& geometry,
-                                             ThreadId num_threads,
-                                             PartitionMode partition_mode)
-    : cache_(geometry, num_threads, partition_mode) {}
-
-bool SharedOrPartitionedL2::access(ThreadId thread, Addr addr,
-                                   AccessType type) {
-  return cache_.access(thread, addr, type).hit;
-}
-
-bool SharedOrPartitionedL2::partitionable() const noexcept {
-  return cache_.mode() != PartitionMode::kUnpartitioned;
-}
-
-void SharedOrPartitionedL2::set_targets(
-    std::span<const std::uint32_t> targets) {
-  if (partitionable()) cache_.set_targets(targets);
-}
-
-std::vector<std::uint32_t> SharedOrPartitionedL2::current_targets() const {
-  return {cache_.targets().begin(), cache_.targets().end()};
-}
-
-L2Mode SharedOrPartitionedL2::mode() const noexcept {
-  switch (cache_.mode()) {
-    case PartitionMode::kUnpartitioned: return L2Mode::kSharedUnpartitioned;
-    case PartitionMode::kEvictionControl: return L2Mode::kPartitionedShared;
-    case PartitionMode::kFlushReconfigure:
-      return L2Mode::kFlushReconfigureShared;
-  }
-  return L2Mode::kSharedUnpartitioned;
 }
 
 PrivateL2::PrivateL2(const CacheGeometry& geometry, ThreadId num_threads)
@@ -136,12 +92,14 @@ PrivateL2::PrivateL2(const CacheGeometry& geometry, ThreadId num_threads)
   CacheGeometry slice = geometry;
   slice.ways = geometry.ways / num_threads;
   slices_.reserve(num_threads);
-  for (ThreadId t = 0; t < num_threads; ++t) slices_.emplace_back(slice);
+  for (ThreadId t = 0; t < num_threads; ++t) {
+    slices_.emplace_back(slice, /*num_threads=*/1, PartitionEnforcement::kNone);
+  }
 }
 
 bool PrivateL2::access(ThreadId thread, Addr addr, AccessType type) {
   CAPART_CHECK(thread < slices_.size(), "private L2: thread out of range");
-  const bool hit = slices_[thread].access(addr, type);
+  const bool hit = slices_[thread].access(0, addr, type).hit;
   ThreadCacheCounters& c = stats_.thread(thread);
   ++c.accesses;
   if (hit) {
@@ -154,24 +112,6 @@ bool PrivateL2::access(ThreadId thread, Addr addr, AccessType type) {
 
 void PrivateL2::set_targets(std::span<const std::uint32_t> /*targets*/) {
   // Private slices are fixed hardware structures; nothing to reconfigure.
-}
-
-SetPartitionedL2::SetPartitionedL2(const CacheGeometry& geometry,
-                                   ThreadId num_threads)
-    // One color per way keeps the policies' [1, ways] target range intact;
-    // with the default 256-set, 64-way cache that is 64 colors of 4 sets.
-    : cache_(geometry, num_threads, /*colors=*/geometry.ways) {}
-
-bool SetPartitionedL2::access(ThreadId thread, Addr addr, AccessType type) {
-  return cache_.access(thread, addr, type).hit;
-}
-
-void SetPartitionedL2::set_targets(std::span<const std::uint32_t> targets) {
-  cache_.set_targets(targets);
-}
-
-std::vector<std::uint32_t> SetPartitionedL2::current_targets() const {
-  return {cache_.targets().begin(), cache_.targets().end()};
 }
 
 std::vector<std::uint32_t> PrivateL2::current_targets() const {

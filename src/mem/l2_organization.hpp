@@ -1,11 +1,15 @@
-// The three L2 organizations the paper compares (§IV-A2, §VII-B):
+// The L2 organizations the paper compares (§IV-A2, §VII-B), behind one
+// interface:
 //
-//   * SharedL2       — one unpartitioned cache, global LRU;
-//   * PartitionedL2  — one shared cache with §V way partitioning
-//                      (runtime-controllable targets);
-//   * PrivateL2      — per-thread slices of ways/num_threads ways each
-//                      (no sharing, data replication across slices; also the
-//                      paper's stand-in for fairness-optimal schemes).
+//   * BankedL2         — one shared cache, unpartitioned (global
+//                        replacement), way-partitioned by §V eviction
+//                        control, by flush-reconfiguration, or by CAT-style
+//                        CLOS masks; at any bank count (banked_l2.hpp);
+//   * PrivateL2        — per-thread slices of ways/num_threads ways each
+//                        (no sharing, data replication across slices; also
+//                        the paper's stand-in for fairness-optimal schemes);
+//   * SetPartitionedL2 — set partitioning by OS page coloring
+//                        (set_partitioned_l2.hpp).
 #pragma once
 
 #include <cstdint>
@@ -16,11 +20,9 @@
 
 #include "src/common/types.hpp"
 #include "src/mem/cache_config.hpp"
+#include "src/mem/cache_core.hpp"
 #include "src/mem/cache_stats.hpp"
 #include "src/mem/clos.hpp"
-#include "src/mem/partitioned_cache.hpp"
-#include "src/mem/set_assoc_cache.hpp"
-#include "src/mem/set_partitioned_cache.hpp"
 
 namespace capart::mem {
 
@@ -104,11 +106,11 @@ class L2Organization {
   virtual const ClosPlan* clos_plan() const noexcept { return nullptr; }
 };
 
-/// Structural options for make_l2 beyond the mode (defaults reproduce the
-/// historical monolithic organizations exactly).
+/// Structural options for make_l2 beyond the mode.
 struct L2BuildOptions {
   /// Bank count of the shared structure; 0/1 = monolithic. Must be a power
-  /// of two <= the set count. Only the shared way-granular modes bank.
+  /// of two <= the set count. Only the shared way-granular modes bank; the
+  /// private and coloring organizations ignore it.
   std::uint32_t banks = 1;
   L2Enforce enforce = L2Enforce::kModeDefault;
   /// Number of CLOSes when enforce == kClosWayMask.
@@ -120,40 +122,6 @@ std::unique_ptr<L2Organization> make_l2(L2Mode mode,
                                         const CacheGeometry& geometry,
                                         ThreadId num_threads,
                                         const L2BuildOptions& opts = {});
-
-/// Shared (optionally way-partitioned) L2 over one PartitionedCache.
-class SharedOrPartitionedL2 final : public L2Organization {
- public:
-  SharedOrPartitionedL2(const CacheGeometry& geometry, ThreadId num_threads,
-                        PartitionMode partition_mode);
-
-  bool access(ThreadId thread, Addr addr, AccessType type) override;
-  bool partitionable() const noexcept override;
-  void set_targets(std::span<const std::uint32_t> targets) override;
-  std::vector<std::uint32_t> current_targets() const override;
-  const CacheStats& stats() const noexcept override { return cache_.stats(); }
-  std::uint32_t total_ways() const noexcept override {
-    return cache_.geometry().ways;
-  }
-  ThreadId num_threads() const noexcept override {
-    return cache_.num_threads();
-  }
-  L2Mode mode() const noexcept override;
-
-  std::uint64_t flushed_on_last_retarget() const noexcept override {
-    return cache_.flushed_on_last_retarget();
-  }
-
-  CacheCore::LookupStats lookup_stats() const noexcept override {
-    return cache_.lookup_stats();
-  }
-
-  /// Underlying cache, for tests and introspection benches.
-  const PartitionedCache& cache() const noexcept { return cache_; }
-
- private:
-  PartitionedCache cache_;
-};
 
 /// Private per-thread L2 slices (ways split equally; each slice keeps the
 /// full set count, mirroring the paper's ways-only capacity scaling).
@@ -174,46 +142,14 @@ class PrivateL2 final : public L2Organization {
 
   CacheCore::LookupStats lookup_stats() const noexcept override {
     CacheCore::LookupStats total;
-    for (const SetAssocCache& slice : slices_) total += slice.lookup_stats();
+    for (const CacheCore& slice : slices_) total += slice.lookup_stats();
     return total;
   }
 
  private:
-  std::vector<SetAssocCache> slices_;
+  std::vector<CacheCore> slices_;  ///< one single-thread cache per thread
   CacheStats stats_;
   std::uint32_t total_ways_;
-};
-
-/// Page-coloring (set-partitioned) shared cache. `total_ways()` reports the
-/// color count so the way-based policies drive it unchanged; the default
-/// pairs one color per way.
-class SetPartitionedL2 final : public L2Organization {
- public:
-  SetPartitionedL2(const CacheGeometry& geometry, ThreadId num_threads);
-
-  bool access(ThreadId thread, Addr addr, AccessType type) override;
-  bool partitionable() const noexcept override { return true; }
-  void set_targets(std::span<const std::uint32_t> targets) override;
-  std::vector<std::uint32_t> current_targets() const override;
-  const CacheStats& stats() const noexcept override { return cache_.stats(); }
-  std::uint32_t total_ways() const noexcept override {
-    return cache_.colors();
-  }
-  ThreadId num_threads() const noexcept override {
-    return cache_.stats().num_threads();
-  }
-  L2Mode mode() const noexcept override {
-    return L2Mode::kSetPartitionedShared;
-  }
-
-  CacheCore::LookupStats lookup_stats() const noexcept override {
-    return cache_.lookup_stats();
-  }
-
-  const SetPartitionedCache& cache() const noexcept { return cache_; }
-
- private:
-  SetPartitionedCache cache_;
 };
 
 }  // namespace capart::mem

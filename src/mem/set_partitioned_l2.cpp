@@ -1,4 +1,4 @@
-#include "src/mem/set_partitioned_cache.hpp"
+#include "src/mem/set_partitioned_l2.hpp"
 
 #include <algorithm>
 
@@ -12,7 +12,7 @@ const CacheGeometry& checked(const CacheGeometry& geometry,
                              ThreadId num_threads, std::uint32_t colors,
                              std::uint32_t page_bytes) {
   geometry.validate();
-  CAPART_CHECK(num_threads >= 1, "set-partitioned cache needs >= 1 thread");
+  CAPART_CHECK(num_threads >= 1, "set-partitioned L2 needs >= 1 thread");
   CAPART_CHECK(colors >= num_threads, "need at least one color per thread");
   CAPART_CHECK(colors <= geometry.sets && geometry.sets % colors == 0,
                "colors must divide the set count");
@@ -24,10 +24,9 @@ const CacheGeometry& checked(const CacheGeometry& geometry,
 
 }  // namespace
 
-SetPartitionedCache::SetPartitionedCache(const CacheGeometry& geometry,
-                                         ThreadId num_threads,
-                                         std::uint32_t colors,
-                                         std::uint32_t page_bytes)
+SetPartitionedL2::SetPartitionedL2(const CacheGeometry& geometry,
+                                   ThreadId num_threads, std::uint32_t colors,
+                                   std::uint32_t page_bytes)
     : num_threads_(num_threads),
       colors_(colors),
       sets_per_color_(geometry.sets / colors),
@@ -41,7 +40,7 @@ SetPartitionedCache::SetPartitionedCache(const CacheGeometry& geometry,
   assign_colors();
 }
 
-void SetPartitionedCache::assign_colors() {
+void SetPartitionedL2::assign_colors() {
   color_owner_.assign(colors_, 0);
   thread_colors_.assign(num_threads_, {});
   std::uint32_t next = 0;
@@ -64,8 +63,7 @@ void SetPartitionedCache::assign_colors() {
   }
 }
 
-void SetPartitionedCache::set_targets(
-    std::span<const std::uint32_t> targets) {
+void SetPartitionedL2::set_targets(std::span<const std::uint32_t> targets) {
   CAPART_CHECK(targets.size() == num_threads_,
                "one color target per thread required");
   std::uint32_t sum = 0;
@@ -80,7 +78,7 @@ void SetPartitionedCache::set_targets(
   if (changed) assign_colors();
 }
 
-SetPartitionedCache::PageInfo& SetPartitionedCache::page_of(
+SetPartitionedL2::PageInfo& SetPartitionedL2::page_of(
     ThreadId toucher, std::uint64_t block) {
   const std::uint64_t page = block / blocks_per_page_;
   auto [it, inserted] = pages_.try_emplace(page);
@@ -96,28 +94,27 @@ SetPartitionedCache::PageInfo& SetPartitionedCache::page_of(
   return it->second;
 }
 
-std::uint32_t SetPartitionedCache::set_of(std::uint64_t block,
-                                          const PageInfo& info) const {
+std::uint32_t SetPartitionedL2::set_of(std::uint64_t block,
+                                       const PageInfo& info) const {
   return info.color * sets_per_color_ +
          static_cast<std::uint32_t>(block % sets_per_color_);
 }
 
-SetPartitionedCache::AccessResult SetPartitionedCache::access(
-    ThreadId thread, Addr addr, AccessType type) {
+bool SetPartitionedL2::access(ThreadId thread, Addr addr, AccessType type) {
   CAPART_CHECK(thread < num_threads_, "thread id out of range");
-  const std::uint64_t block = geometry().block_of(addr);
+  const std::uint64_t block = core_.geometry().block_of(addr);
   const PageInfo& info = page_of(thread, block);
-  return core_.access_in_set(thread, block, set_of(block, info), type);
+  return core_.access_in_set(thread, block, set_of(block, info), type).hit;
 }
 
-std::vector<std::uint32_t> SetPartitionedCache::colors_of(
+std::vector<std::uint32_t> SetPartitionedL2::colors_of(
     ThreadId thread) const {
   CAPART_CHECK(thread < num_threads_, "colors_of: thread out of range");
   return thread_colors_[thread];
 }
 
-bool SetPartitionedCache::contains(Addr addr) const {
-  const std::uint64_t block = geometry().block_of(addr);
+bool SetPartitionedL2::contains(Addr addr) const {
+  const std::uint64_t block = core_.geometry().block_of(addr);
   const auto it = pages_.find(block / blocks_per_page_);
   if (it == pages_.end()) return false;
   return core_.contains_block_in_set(block, set_of(block, it->second));

@@ -17,10 +17,10 @@
 //    the replacement-policy mechanism, which migrates gradually for free;
 //  * each thread keeps the cache's full associativity within its colors.
 //
-// The class implements the same target interface as the way-partitioned
-// cache — targets are counted in colors, and with colors == ways (the
-// default pairing of 64 colors with the 64-way cache) policies are reusable
-// unchanged. See SetPartitionedL2 for the L2Organization adapter.
+// The organization implements the same target interface as the
+// way-partitioned L2 — targets are counted in colors, and `total_ways()`
+// reports the color count; make_l2 pairs one color per way (64 colors with
+// the 64-way cache), so the partitioning policies drive it unchanged.
 //
 // Only the page-coloring machinery lives here; line storage, replacement
 // (`CacheGeometry::repl`), and statistics delegate to `CacheCore` in its
@@ -37,33 +37,40 @@
 #include "src/mem/cache_config.hpp"
 #include "src/mem/cache_core.hpp"
 #include "src/mem/cache_stats.hpp"
+#include "src/mem/l2_organization.hpp"
 
 namespace capart::mem {
 
-class SetPartitionedCache {
+/// The coloring granularity make_l2 uses: 4 KB pages.
+inline constexpr std::uint32_t kColoringPageBytes = 4096;
+
+class SetPartitionedL2 final : public L2Organization {
  public:
-  /// `colors` must divide the set count; `page_bytes` is the coloring
-  /// granularity (default 4 KB pages).
-  SetPartitionedCache(const CacheGeometry& geometry, ThreadId num_threads,
-                      std::uint32_t colors = 64,
-                      std::uint32_t page_bytes = 4096);
+  /// `colors` must divide the set count and be at least the thread count;
+  /// `page_bytes` is the coloring granularity, a multiple of the line size.
+  SetPartitionedL2(const CacheGeometry& geometry, ThreadId num_threads,
+                   std::uint32_t colors, std::uint32_t page_bytes);
 
-  using AccessResult = CacheCore::AccessResult;
-
-  AccessResult access(ThreadId thread, Addr addr, AccessType type);
+  bool access(ThreadId thread, Addr addr, AccessType type) override;
+  bool partitionable() const noexcept override { return true; }
 
   /// Installs new per-thread *color* targets (one per thread, each >= 1,
   /// summing to the color count). Colors move between threads immediately
   /// and every affected page is recolored; the stranded lines of recolored
   /// pages stay in their old sets until evicted (the recoloring cost).
-  void set_targets(std::span<const std::uint32_t> targets);
+  void set_targets(std::span<const std::uint32_t> targets) override;
 
-  std::span<const std::uint32_t> targets() const noexcept { return targets_; }
-  const CacheStats& stats() const noexcept { return core_.stats(); }
-  const CacheGeometry& geometry() const noexcept { return core_.geometry(); }
-  std::uint32_t colors() const noexcept { return colors_; }
-  IndexKind index_kind() const noexcept { return core_.index_kind(); }
-  const CacheCore::LookupStats& lookup_stats() const noexcept {
+  std::vector<std::uint32_t> current_targets() const override {
+    return targets_;
+  }
+  const CacheStats& stats() const noexcept override { return core_.stats(); }
+  /// The color count: the way-based policies drive colors unchanged.
+  std::uint32_t total_ways() const noexcept override { return colors_; }
+  ThreadId num_threads() const noexcept override { return num_threads_; }
+  L2Mode mode() const noexcept override {
+    return L2Mode::kSetPartitionedShared;
+  }
+  CacheCore::LookupStats lookup_stats() const noexcept override {
     return core_.lookup_stats();
   }
 

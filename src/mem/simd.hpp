@@ -135,7 +135,7 @@ inline std::uint32_t find_tag(const std::uint64_t* tags, std::uint32_t ways,
 #endif
 
 /// The backend compiled into this build ("avx2" / "sse2" / "neon" /
-/// "scalar"); published by capart_perfsmoke so perf numbers are attributable.
+/// "scalar"); capart_bench records it so perf numbers are attributable.
 inline constexpr std::string_view backend_name() noexcept {
   return kSimdBackend;
 }

@@ -13,8 +13,7 @@ UtilityMonitor::UtilityMonitor(const CacheGeometry& geometry,
     : geometry_(geometry),
       num_threads_(num_threads),
       sampling_shift_(sampling_shift),
-      sampled_sets_(geometry.sets >> sampling_shift),
-      index_kind_(geometry.resolved_index()) {
+      sampled_sets_(geometry.sets >> sampling_shift) {
   geometry_.validate();
   CAPART_CHECK(num_threads_ >= 1, "utility monitor needs >= 1 thread");
   CAPART_CHECK(sampled_sets_ >= 1,
@@ -27,7 +26,7 @@ UtilityMonitor::UtilityMonitor(const CacheGeometry& geometry,
   for (ThreadId t = 0; t < num_threads_; ++t) {
     shadow_order_.emplace_back(sampled_sets_, geometry_.ways);
   }
-  if (index_kind_ == IndexKind::kHash) {
+  if (use_block_index(geometry_.ways)) {
     shadow_index_.reserve(num_threads_);
     for (ThreadId t = 0; t < num_threads_; ++t) {
       shadow_index_.push_back(
@@ -68,12 +67,14 @@ void UtilityMonitor::observe(ThreadId thread, Addr addr) {
   std::uint64_t* tags = &shadow_tags_[thread][base];
   LruStack& order = shadow_order_[thread];
 
-  // Tag lookup: the block->way index (kHash), or the vectorized contiguous
-  // probe over the sentinel-tagged array (kScan). Bit-identical — a set
-  // holds at most one copy of a block in both mechanisms.
+  // Tag lookup: the block->way index, or the vectorized contiguous probe
+  // over the sentinel-tagged array. Bit-identical — a set holds at most one
+  // copy of a block either way.
+  BlockWayIndex* index =
+      shadow_index_.empty() ? nullptr : shadow_index_[thread].get();
   std::uint32_t found;
-  if (index_kind_ == IndexKind::kHash) {
-    const std::uint32_t w = shadow_index_[thread]->lookup(shadow_set, block);
+  if (index != nullptr) {
+    const std::uint32_t w = index->lookup(shadow_set, block);
     found = w != BlockWayIndex::kNotFound ? w : geometry_.ways;
   } else {
     found = simd::find_tag(tags, geometry_.ways, block);
@@ -95,14 +96,10 @@ void UtilityMonitor::observe(ThreadId thread, Addr addr) {
     ++filled;
   } else {
     victim = order.way_at(shadow_set, geometry_.ways - 1);
-    if (index_kind_ == IndexKind::kHash) {
-      shadow_index_[thread]->erase(shadow_set, tags[victim]);
-    }
+    if (index != nullptr) index->erase(shadow_set, tags[victim]);
   }
   tags[victim] = block;
-  if (index_kind_ == IndexKind::kHash) {
-    shadow_index_[thread]->insert(shadow_set, block, victim);
-  }
+  if (index != nullptr) index->insert(shadow_set, block, victim);
   order.touch(shadow_set, victim);
 }
 

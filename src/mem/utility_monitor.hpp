@@ -33,10 +33,14 @@ namespace capart::mem {
 
 class UtilityMonitor {
  public:
+  /// The experiments' set sampling: every 8th set. A cache needs at least
+  /// `1 << kSamplingShift` sets to leave one to monitor.
+  static constexpr std::uint32_t kSamplingShift = 3;
+
   /// Monitors threads of a cache with `geometry`, sampling every
   /// `2^sampling_shift`-th set (0 monitors every set).
   UtilityMonitor(const CacheGeometry& geometry, ThreadId num_threads,
-                 std::uint32_t sampling_shift = 3);
+                 std::uint32_t sampling_shift = kSamplingShift);
 
   /// Feeds one access by `thread`; cheap no-op for unsampled sets.
   void observe(ThreadId thread, Addr addr);
@@ -66,9 +70,6 @@ class UtilityMonitor {
     return static_cast<double>(geometry_.sets) /
            static_cast<double>(sampled_sets_);
   }
-  /// The tag-lookup mechanism of the shadow directories (follows the
-  /// monitored cache's `CacheGeometry::index`, kAuto resolved).
-  IndexKind index_kind() const noexcept { return index_kind_; }
 
  private:
   /// Index into the per-thread shadow directory, or sets_ when unsampled.
@@ -78,7 +79,6 @@ class UtilityMonitor {
   ThreadId num_threads_;
   std::uint32_t sampling_shift_;
   std::uint32_t sampled_sets_;
-  IndexKind index_kind_;
   // Per thread: shadow tags (sampled_sets x ways; kInvalidTag marks an empty
   // way, same sentinel layout as the cache core, so the probe is the
   // vectorized contiguous compare of simd.hpp) plus a compact recency
@@ -87,8 +87,9 @@ class UtilityMonitor {
   // lookup — and interval counters.
   std::vector<std::vector<std::uint64_t>> shadow_tags_;
   std::vector<LruStack> shadow_order_;
-  /// Per-thread block->way index over the shadow directory (kHash only);
-  /// shadow lines are never invalidated, so entries are only ever replaced.
+  /// Per-thread block->way index over the shadow directory (empty unless
+  /// use_block_index(ways)); shadow lines are never invalidated, so entries
+  /// are only ever replaced.
   std::vector<std::unique_ptr<BlockWayIndex>> shadow_index_;
   /// Valid lines per shadow set, per thread: shadow fills always take the
   /// first invalid way and nothing is ever invalidated, so the fill count

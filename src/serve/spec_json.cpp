@@ -8,7 +8,6 @@
 #include "src/core/clos_mapper.hpp"
 #include "src/core/partitioner_registry.hpp"
 #include "src/core/policy.hpp"
-#include "src/mem/block_index.hpp"
 #include "src/mem/l2_organization.hpp"
 #include "src/mem/replacement.hpp"
 #include "src/trace/benchmarks.hpp"
@@ -152,8 +151,6 @@ void geometry_from_json(const obs::JsonValue& json, const std::string& where,
   r.u_int("ways", g.ways);
   r.u_int("line_bytes", g.line_bytes);
   r.enumeration("repl", g.repl, mem::parse_replacement, "lru, plru or srrip");
-  r.enumeration("index", g.index, mem::parse_index_kind,
-                "scan, hash or auto");
   r.finish();
 }
 
@@ -163,7 +160,6 @@ void write_geometry(obs::JsonWriter& w, const mem::CacheGeometry& g) {
       .key("ways").value(g.ways)
       .key("line_bytes").value(g.line_bytes)
       .key("repl").value(mem::to_string(g.repl))
-      .key("index").value(mem::to_string(g.index))
       .end_object();
 }
 

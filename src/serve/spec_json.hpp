@@ -14,7 +14,7 @@
 //
 // Config field names and enum spellings match the manifest event exactly
 // ("profile", "policy": "model-based", "l2_mode": "partitioned-shared",
-// "l2": {"sets","ways","line_bytes","repl","index"}, ...), so the config a
+// "l2": {"sets","ways","line_bytes","repl"}, ...), so the config a
 // JSONL events file records is directly resubmittable. Every field is
 // optional and defaults to ExperimentConfig's default; unknown keys are
 // rejected (they would silently change the canonical hash otherwise), and

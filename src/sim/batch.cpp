@@ -184,8 +184,8 @@ BatchResult BatchRunner::run(const ExperimentSpec& spec) const {
   std::vector<CancelToken> tokens(spec.arms.size());
   std::atomic<bool> abort{false};
   // Arms not yet claimed by a worker — published as the "batch/queue_depth"
-  // gauge so a daemon's admission controller and capart_perfsmoke read the
-  // same backlog signal the runner itself acts on.
+  // gauge so a daemon's admission controller reads the same backlog signal
+  // the runner itself acts on.
   std::atomic<std::size_t> pending{spec.arms.size()};
 
   auto report_failure = [&](const ExperimentArm& arm, ArmOutcome& out) {

@@ -128,7 +128,7 @@ class BatchRunner {
   /// arm also feeds the "batch/queue_depth" gauge (arms not yet claimed by
   /// a worker) and the "batch/arm_wall_seconds" histogram — the shared
   /// backlog/latency source of truth for capart_serve's admission
-  /// controller and capart_perfsmoke.
+  /// controller.
   BatchResult run(const ExperimentSpec& spec) const;
 
   /// Deterministic parallel map for work that is not an ExperimentConfig

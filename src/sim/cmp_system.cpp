@@ -6,29 +6,16 @@
 
 namespace capart::sim {
 
-namespace {
-
-// The shared way-granular organizations physically bank; the private and
-// coloring organizations keep monolithic structures (banks then only drive
-// the contention model below).
-mem::L2BuildOptions l2_build_options(const SystemConfig& config) {
-  const bool shared = config.l2_mode == mem::L2Mode::kSharedUnpartitioned ||
-                      config.l2_mode == mem::L2Mode::kPartitionedShared ||
-                      config.l2_mode == mem::L2Mode::kFlushReconfigureShared;
-  return mem::L2BuildOptions{
-      .banks = shared ? std::max<std::uint32_t>(1, config.l2_banks) : 1,
-      .enforce = config.l2_enforce,
-      .clos_budget = config.clos_budget,
-  };
-}
-
-}  // namespace
-
 CmpSystem::CmpSystem(const SystemConfig& config)
     : config_(config),
       timing_(config.timing),
+      // The shared way-granular organizations physically bank; the private
+      // and coloring organizations ignore the bank count (banks then only
+      // drive the contention model below).
       l2_(mem::make_l2(config.l2_mode, config.l2, config.num_threads,
-                       l2_build_options(config))),
+                       {.banks = config.l2_banks,
+                        .enforce = config.l2_enforce,
+                        .clos_budget = config.clos_budget})),
       counters_(config.num_threads),
       core_of_(config.num_threads) {
   CAPART_CHECK(config_.num_threads >= 1, "system needs at least one thread");
@@ -46,12 +33,13 @@ CmpSystem::CmpSystem(const SystemConfig& config)
 void CmpSystem::build_private_caches() {
   l1s_.reserve(config_.num_threads);
   for (ThreadId t = 0; t < config_.num_threads; ++t) {
-    l1s_.emplace_back(config_.l1);
+    l1s_.emplace_back(config_.l1, 1, mem::PartitionEnforcement::kNone);
   }
   if (config_.enable_private_l2) {
     private_l2s_.reserve(config_.num_threads);
     for (ThreadId t = 0; t < config_.num_threads; ++t) {
-      private_l2s_.emplace_back(config_.private_l2);
+      private_l2s_.emplace_back(config_.private_l2, 1,
+                                mem::PartitionEnforcement::kNone);
     }
   }
 }
@@ -65,12 +53,12 @@ Cycles CmpSystem::memory_access(ThreadId thread, Addr addr, AccessType type,
   c.l1_accesses += 1;
 
   cpu::MemoryLevel level = cpu::MemoryLevel::kL1;
-  bool reaches_shared = !l1s_[core_of_[thread]].access(addr, type);
+  bool reaches_shared = !l1s_[core_of_[thread]].access(0, addr, type).hit;
   if (reaches_shared) {
     c.l1_misses += 1;
     if (config_.enable_private_l2) {
       c.private_l2_accesses += 1;
-      if (private_l2s_[core_of_[thread]].access(addr, type)) {
+      if (private_l2s_[core_of_[thread]].access(0, addr, type).hit) {
         c.private_l2_hits += 1;
         level = cpu::MemoryLevel::kPrivateL2;
         reaches_shared = false;

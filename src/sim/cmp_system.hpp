@@ -11,8 +11,8 @@
 #include "src/cpu/perf_counters.hpp"
 #include "src/cpu/timing_model.hpp"
 #include "src/mem/cache_config.hpp"
+#include "src/mem/cache_core.hpp"
 #include "src/mem/l2_organization.hpp"
-#include "src/mem/set_assoc_cache.hpp"
 #include "src/mem/utility_monitor.hpp"
 #include "src/trace/access.hpp"
 
@@ -28,20 +28,20 @@ struct SystemConfig {
   /// Instantiates the shadow-tag utility monitor on the L2 (required by the
   /// measured-curve policies; extra hardware, so off by default).
   bool enable_utility_monitor = false;
-  std::uint32_t umon_sampling_shift = 3;
+  std::uint32_t umon_sampling_shift = mem::UtilityMonitor::kSamplingShift;
   /// Inserts a private per-core L2 between the L1 and the shared cache, so
   /// the partitionable shared component becomes an L3 (Dunnington-style;
   /// paper footnote 1 — "our work can target any shared cache component").
   bool enable_private_l2 = false;
   /// Geometry of each private L2 slice (default 64 KB, 8-way).
   mem::CacheGeometry private_l2 = mem::kDefaultPrivateL2;
-  /// Banks of the shared cache; 0 keeps the historical monolithic structure
-  /// with no contention (infinite bandwidth, the default). With N banks two
-  /// things happen: (timing) concurrent accesses to the same bank serialize
-  /// at `l2_bank_service_cycles` apart with the waiting time charged to the
+  /// Banks of the shared cache; 0 keeps one bank with no contention
+  /// (infinite bandwidth, the default). With N banks two things happen:
+  /// (timing) concurrent accesses to the same bank serialize at
+  /// `l2_bank_service_cycles` apart with the waiting time charged to the
   /// requester, and (structure) the shared way-granular organizations build
   /// N address-interleaved banks (see mem::BankedL2; contents stay
-  /// bit-identical to a monolithic cache for any power-of-two count).
+  /// bit-identical to one bank for any power-of-two count).
   std::uint32_t l2_banks = 0;
   Cycles l2_bank_service_cycles = 4;
   /// Partition enforcement flavor of the shared L2 (kClosWayMask = CAT-style
@@ -127,8 +127,10 @@ class CmpSystem {
 
   SystemConfig config_;
   cpu::TimingModel timing_;
-  std::vector<mem::SetAssocCache> l1s_;          // one per core; lazy
-  std::vector<mem::SetAssocCache> private_l2s_;  // one per core, optional
+  // Single-thread caches, one per core: the L1s (built lazily) and the
+  // optional private L2s.
+  std::vector<mem::CacheCore> l1s_;
+  std::vector<mem::CacheCore> private_l2s_;
   std::unique_ptr<mem::L2Organization> l2_;
   std::unique_ptr<mem::UtilityMonitor> umon_;
   std::vector<Cycles> bank_busy_until_;

@@ -10,6 +10,8 @@
 #include "src/core/model_based_policy.hpp"
 #include "src/core/partitioner_registry.hpp"
 #include "src/core/runtime_system.hpp"
+#include "src/mem/set_partitioned_l2.hpp"
+#include "src/mem/utility_monitor.hpp"
 #include "src/obs/events.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/sim/cmp_system.hpp"
@@ -44,6 +46,35 @@ void ExperimentConfig::validate() const {
   l1.validate();
   l2.validate();
   if (enable_private_l2) private_l2.validate();
+  if (l2_mode == mem::L2Mode::kSetPartitionedShared) {
+    // Page coloring pairs one color per way, each color a run of whole sets
+    // (mem::SetPartitionedL2), and colors whole pages.
+    if (l2.sets % l2.ways != 0) {
+      throw ConfigError(
+          "l2-ways",
+          "coloring needs --l2-ways to divide --l2-sets (one color per way; " +
+              std::to_string(l2.ways) + " ways, " + std::to_string(l2.sets) +
+              " sets)");
+    }
+    if (l2.line_bytes > mem::kColoringPageBytes) {
+      throw ConfigError("line_bytes",
+                        "coloring needs l2 lines no larger than its " +
+                            std::to_string(mem::kColoringPageBytes) +
+                            "-byte pages (got " +
+                            std::to_string(l2.line_bytes) + ")");
+    }
+  }
+  const core::Partitioner* partitioner =
+      core::is_no_policy(policy) ? nullptr : core::registry().find(policy);
+  if (partitioner != nullptr && partitioner->needs_utility_monitor &&
+      (l2.sets >> mem::UtilityMonitor::kSamplingShift) < 1) {
+    throw ConfigError(
+        "l2-sets",
+        "policy '" + policy + "' samples every " +
+            std::to_string(1u << mem::UtilityMonitor::kSamplingShift) +
+            "th set of its utility monitor; --l2-sets=" +
+            std::to_string(l2.sets) + " leaves none");
+  }
   const bool clos = l2_enforce == mem::L2Enforce::kClosWayMask;
   if (clos) {
     if (l2_mode != mem::L2Mode::kPartitionedShared) {
@@ -142,7 +173,7 @@ PreparedExperiment::PreparedExperiment(
       // Measured-curve policies model monitoring hardware; provision it.
       .enable_utility_monitor =
           partitioner != nullptr && partitioner->needs_utility_monitor,
-      .umon_sampling_shift = 3,
+      .umon_sampling_shift = mem::UtilityMonitor::kSamplingShift,
       .enable_private_l2 = config_.enable_private_l2,
       .private_l2 = config_.private_l2,
       .l2_banks = config_.l2_banks,
@@ -308,9 +339,9 @@ ExperimentResult PreparedExperiment::finalize() {
                             result.outcome.total_cycles);
     config_.obs.metrics->add("experiment/instructions_simulated",
                             result.outcome.instructions_retired);
-    // Hot-path telemetry: L2 tag-lookup cost under the configured
-    // --l2-index mechanism, and simulated L2 accesses per wall second (the
-    // number the perf-regression harness tracks).
+    // Hot-path telemetry: L2 tag-lookup cost (index slots or scanned
+    // ways, per use_block_index), and simulated L2 accesses per wall
+    // second (the unit capart_bench reports).
     const mem::CacheCore::LookupStats lookup = system.l2().lookup_stats();
     config_.obs.metrics->add("l2/lookups", lookup.lookups);
     config_.obs.metrics->add("l2/lookup_probe_len_total", lookup.probed_slots);

@@ -491,9 +491,11 @@ ThreadResolver::ThreadResolver(const ResolveSpec& spec, ThreadId t)
     : generator_(trace::PhaseSchedule(spec.profile.threads[t].phases),
                  Rng(spec.seed).fork(t), private_region_base(t),
                  shared_region_base()),
-      l1_(spec.l1),
+      l1_(spec.l1, 1, mem::PartitionEnforcement::kNone),
       per_thread_(spec.per_thread) {
-  if (spec.private_l2) private_l2_.emplace(*spec.private_l2);
+  if (spec.private_l2) {
+    private_l2_.emplace(*spec.private_l2, 1, mem::PartitionEnforcement::kNone);
+  }
   // Allocate here, on the thread building the resolver: helpers that fill
   // its chunks later then never allocate.
   generator_.reserve();
@@ -510,9 +512,9 @@ std::size_t ThreadResolver::fill(trace::NextOp* out, std::size_t n) {
     const bool executed = pulled_ + op.gap + 1 <= per_thread_;
     pulled_ += op.gap + 1;
     if (!executed) continue;
-    if (l1_.access(op.addr, op.type)) {
+    if (l1_.access(0, op.addr, op.type).hit) {
       op.resolved = trace::ResolvedLevel::kL1Hit;
-    } else if (private_l2_ && private_l2_->access(op.addr, op.type)) {
+    } else if (private_l2_ && private_l2_->access(0, op.addr, op.type).hit) {
       op.resolved = trace::ResolvedLevel::kPrivateL2Hit;
     } else {
       op.resolved = trace::ResolvedLevel::kShared;

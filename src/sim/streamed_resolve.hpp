@@ -36,7 +36,7 @@
 
 #include "src/common/types.hpp"
 #include "src/mem/cache_config.hpp"
-#include "src/mem/set_assoc_cache.hpp"
+#include "src/mem/cache_core.hpp"
 #include "src/sim/experiment.hpp"
 #include "src/trace/benchmarks.hpp"
 #include "src/trace/op_source.hpp"
@@ -81,8 +81,8 @@ class ThreadResolver {
 
  private:
   trace::PhasedGenerator generator_;
-  mem::SetAssocCache l1_;
-  std::optional<mem::SetAssocCache> private_l2_;
+  mem::CacheCore l1_;  ///< single-thread, like the private L2
+  std::optional<mem::CacheCore> private_l2_;
   Instructions per_thread_;
   /// Instructions of every op produced so far (gaps plus accesses).
   Instructions pulled_ = 0;

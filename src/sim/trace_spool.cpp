@@ -43,8 +43,6 @@ std::string hex64(std::uint64_t v) {
 }
 
 std::string geometry_key(const mem::CacheGeometry& g) {
-  // The index mechanism is deliberately absent: lookups are bit-identical
-  // across kinds, so hash- and scan-indexed arms share spool entries.
   return std::to_string(g.sets) + "x" + std::to_string(g.ways) + "x" +
          std::to_string(g.line_bytes) + ":" +
          std::string(mem::to_string(g.repl));

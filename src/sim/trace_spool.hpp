@@ -25,7 +25,7 @@
 // the loop the default live path also streams from: it consumes the
 // generator exactly as the driver would (an op's access executes iff the
 // thread's cumulative instruction budget admits its gap plus one access)
-// and runs the same SetAssocCache code against the same geometry, so the
+// and runs the same single-thread CacheCore against the same geometry, so the
 // replayed run's counters, interval boundaries and shared cache contents are
 // byte-for-byte those of an unresolved live run. Asserted by
 // tests/test_trace_spool.cpp, tests/test_streamed_resolve.cpp and the

@@ -1,11 +1,13 @@
 // Banked shared L2 (src/mem/banked_l2): address-interleaved banking must be
-// a pure structural change — for any power-of-two bank count the hit/miss
-// sequence, contents and aggregate stats are bit-identical to the monolithic
-// organization; only per-bank introspection is new.
+// a pure structural change. tests/test_reference_cache.cpp holds 1, 2 and 8
+// banks to one monolithic reference model access by access; this file
+// checks the banking itself — the address-to-bank map, per-bank
+// introspection, stats aggregation and the factory's choice of organization.
 #include "src/mem/banked_l2.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -40,76 +42,9 @@ std::vector<Access> make_stream(ThreadId threads, std::size_t n) {
   return stream;
 }
 
-void expect_same_stats(const CacheStats& a, const CacheStats& b) {
-  ASSERT_EQ(a.num_threads(), b.num_threads());
-  for (ThreadId t = 0; t < a.num_threads(); ++t) {
-    EXPECT_EQ(a.thread(t).accesses, b.thread(t).accesses);
-    EXPECT_EQ(a.thread(t).hits, b.thread(t).hits);
-    EXPECT_EQ(a.thread(t).misses, b.thread(t).misses);
-    EXPECT_EQ(a.thread(t).inter_thread_hits, b.thread(t).inter_thread_hits);
-    EXPECT_EQ(a.thread(t).inter_thread_evictions_caused,
-              b.thread(t).inter_thread_evictions_caused);
-    EXPECT_EQ(a.thread(t).inter_thread_evictions_suffered,
-              b.thread(t).inter_thread_evictions_suffered);
-    EXPECT_EQ(a.thread(t).intra_thread_evictions,
-              b.thread(t).intra_thread_evictions);
-    EXPECT_EQ(a.thread(t).writebacks, b.thread(t).writebacks);
-  }
-}
-
-/// Runs the same stream (with a mid-stream retarget where partitionable)
-/// through a monolithic organization and a banked one, asserting the
-/// per-access results never diverge.
-void expect_bit_identical(L2Mode mode, std::uint32_t banks) {
-  auto mono = make_l2(mode, geometry(), 3);
-  const PartitionMode pmode =
-      mode == L2Mode::kSharedUnpartitioned ? PartitionMode::kUnpartitioned
-      : mode == L2Mode::kFlushReconfigureShared
-          ? PartitionMode::kFlushReconfigure
-          : PartitionMode::kEvictionControl;
-  BankedL2 banked(geometry(), 3, banks, pmode, /*clos=*/false,
-                  /*clos_budget=*/0);
-  const std::vector<Access> stream = make_stream(3, 4000);
-  for (std::size_t i = 0; i < stream.size(); ++i) {
-    if (i == 1700 && mono->partitionable()) {
-      const std::vector<std::uint32_t> targets = {2, 1, 1};
-      mono->set_targets(targets);
-      banked.set_targets(targets);
-      EXPECT_EQ(banked.flushed_on_last_retarget(),
-                mono->flushed_on_last_retarget());
-    }
-    const bool hit_mono =
-        mono->access(stream[i].thread, stream[i].addr, stream[i].type);
-    const bool hit_banked =
-        banked.access(stream[i].thread, stream[i].addr, stream[i].type);
-    ASSERT_EQ(hit_banked, hit_mono)
-        << "diverged at access " << i << " with " << banks << " banks";
-  }
-  expect_same_stats(banked.stats(), mono->stats());
-}
-
-TEST(BankedL2, OneBankMatchesMonolithicShared) {
-  expect_bit_identical(L2Mode::kSharedUnpartitioned, 1);
-}
-
-TEST(BankedL2, ManyBanksMatchMonolithicShared) {
-  expect_bit_identical(L2Mode::kSharedUnpartitioned, 4);
-  expect_bit_identical(L2Mode::kSharedUnpartitioned, 16);
-}
-
-TEST(BankedL2, ManyBanksMatchMonolithicPartitioned) {
-  expect_bit_identical(L2Mode::kPartitionedShared, 1);
-  expect_bit_identical(L2Mode::kPartitionedShared, 2);
-  expect_bit_identical(L2Mode::kPartitionedShared, 8);
-}
-
-TEST(BankedL2, ManyBanksMatchMonolithicFlushReconfigure) {
-  expect_bit_identical(L2Mode::kFlushReconfigureShared, 4);
-}
-
 TEST(BankedL2, EveryAddressMapsToExactlyOneBank) {
-  BankedL2 banked(geometry(), 2, 4, PartitionMode::kEvictionControl,
-                  /*clos=*/false, /*clos_budget=*/0);
+  BankedL2 banked(geometry(), 2, 4,
+                  PartitionEnforcement::kWayEvictionControl);
   // The bank-select bits are the low set bits: consecutive blocks rotate
   // through the banks, and each bank holds sets/banks sets.
   EXPECT_EQ(banked.bank_count(), 4u);
@@ -123,8 +58,8 @@ TEST(BankedL2, EveryAddressMapsToExactlyOneBank) {
 }
 
 TEST(BankedL2, PerBankStatsSumToAggregate) {
-  BankedL2 banked(geometry(), 2, 4, PartitionMode::kEvictionControl,
-                  /*clos=*/false, /*clos_budget=*/0);
+  BankedL2 banked(geometry(), 2, 4,
+                  PartitionEnforcement::kWayEvictionControl);
   for (const Access& a : make_stream(2, 2000)) {
     banked.access(a.thread, a.addr, a.type);
   }
@@ -142,19 +77,26 @@ TEST(BankedL2, PerBankStatsSumToAggregate) {
 }
 
 TEST(BankedL2, FactoryBanksSharedModesOnly) {
-  const L2BuildOptions opts{.banks = 4};
-  // Shared modes return a banked organization with the requested interface
-  // behaviour; private and coloring modes stay monolithic (banks only feed
-  // the contention model).
-  auto shared = make_l2(L2Mode::kSharedUnpartitioned, geometry(), 2, opts);
-  EXPECT_NE(dynamic_cast<BankedL2*>(shared.get()), nullptr);
-  auto part = make_l2(L2Mode::kPartitionedShared, geometry(), 2, opts);
-  EXPECT_NE(dynamic_cast<BankedL2*>(part.get()), nullptr);
-  EXPECT_TRUE(part->partitionable());
-  auto priv = make_l2(L2Mode::kPrivatePerThread, geometry(), 2, opts);
-  EXPECT_EQ(dynamic_cast<BankedL2*>(priv.get()), nullptr);
-  auto colored = make_l2(L2Mode::kSetPartitionedShared, geometry(), 2, opts);
-  EXPECT_EQ(dynamic_cast<BankedL2*>(colored.get()), nullptr);
+  // The shared way-granular modes are one BankedL2 at every bank count, a
+  // single bank included; private and coloring modes stay monolithic
+  // (banks only feed the contention model).
+  for (const std::uint32_t banks : {0u, 1u, 4u}) {
+    const L2BuildOptions opts{.banks = banks};
+    for (const L2Mode mode :
+         {L2Mode::kSharedUnpartitioned, L2Mode::kPartitionedShared,
+          L2Mode::kFlushReconfigureShared}) {
+      auto l2 = make_l2(mode, geometry(), 2, opts);
+      const auto* banked = dynamic_cast<BankedL2*>(l2.get());
+      ASSERT_NE(banked, nullptr) << to_string(mode);
+      EXPECT_EQ(banked->bank_count(), std::max(banks, 1u));
+      EXPECT_EQ(l2->mode(), mode);
+      EXPECT_EQ(l2->partitionable(), mode != L2Mode::kSharedUnpartitioned);
+    }
+    auto priv = make_l2(L2Mode::kPrivatePerThread, geometry(), 2, opts);
+    EXPECT_EQ(dynamic_cast<BankedL2*>(priv.get()), nullptr);
+    auto colored = make_l2(L2Mode::kSetPartitionedShared, geometry(), 2, opts);
+    EXPECT_EQ(dynamic_cast<BankedL2*>(colored.get()), nullptr);
+  }
 }
 
 TEST(BankedL2, FactoryClosUsesBankedOrganization) {
@@ -175,8 +117,7 @@ TEST(BankedL2, FactoryClosUsesBankedOrganization) {
 TEST(BankedL2, StatsAggregationIsRepeatable) {
   // stats() lazily rebuilds the aggregate; calling it twice (and after more
   // traffic) must never double-count.
-  BankedL2 banked(geometry(), 2, 2, PartitionMode::kUnpartitioned,
-                  /*clos=*/false, /*clos_budget=*/0);
+  BankedL2 banked(geometry(), 2, 2, PartitionEnforcement::kNone);
   const std::vector<Access> stream = make_stream(2, 100);
   for (const Access& a : stream) {
     banked.access(a.thread, a.addr, a.type);

@@ -1,7 +1,7 @@
 // Unit tests for the incremental block->way index (src/mem/block_index.hpp):
 // the open-addressing table itself, checked against a reference map under
-// randomized insert/erase/lookup churn, plus the IndexKind knob parsing and
-// the kAuto resolution rule.
+// randomized insert/erase/lookup churn, plus the associativity rule that
+// decides which caches use it.
 #include "src/mem/block_index.hpp"
 
 #include <gtest/gtest.h>
@@ -16,39 +16,14 @@
 namespace capart::mem {
 namespace {
 
-TEST(IndexKind, ToStringNames) {
-  EXPECT_EQ(to_string(IndexKind::kScan), "scan");
-  EXPECT_EQ(to_string(IndexKind::kHash), "hash");
-  EXPECT_EQ(to_string(IndexKind::kAuto), "auto");
-}
-
-TEST(IndexKind, ParseRoundTrip) {
-  for (const IndexKind kind :
-       {IndexKind::kScan, IndexKind::kHash, IndexKind::kAuto}) {
-    IndexKind out = IndexKind::kScan;
-    EXPECT_TRUE(parse_index_kind(to_string(kind), out));
-    EXPECT_EQ(out, kind);
-  }
-}
-
-TEST(IndexKind, ParseRejectsUnknown) {
-  IndexKind out = IndexKind::kAuto;
-  EXPECT_FALSE(parse_index_kind("linear", out));
-  EXPECT_FALSE(parse_index_kind("", out));
-  EXPECT_FALSE(parse_index_kind("Hash", out));
-}
-
-TEST(IndexKind, AutoResolvesByAssociativity) {
-  // The default L1 (4-way) keeps the scan; the default L2 (64-way) gets the
-  // hash index. Explicit kinds resolve to themselves regardless of geometry.
-  EXPECT_EQ(kDefaultL1.resolved_index(), IndexKind::kScan);
-  EXPECT_EQ(kDefaultL2.resolved_index(), IndexKind::kHash);
-  CacheGeometry g{.sets = 4, .ways = 4, .line_bytes = 64,
-                  .repl = ReplacementKind::kTrueLru, .index = IndexKind::kHash};
-  EXPECT_EQ(g.resolved_index(), IndexKind::kHash);
-  g.ways = 64;
-  g.index = IndexKind::kScan;
-  EXPECT_EQ(g.resolved_index(), IndexKind::kScan);
+TEST(BlockWayIndex, UsedFromSixteenWays) {
+  // The default L1 (4-way) and private-L2 slice (8-way) keep the scan; the
+  // default shared L2 (64-way) gets the index.
+  EXPECT_FALSE(use_block_index(kDefaultL1.ways));
+  EXPECT_FALSE(use_block_index(kDefaultPrivateL2.ways));
+  EXPECT_TRUE(use_block_index(kDefaultL2.ways));
+  EXPECT_FALSE(use_block_index(15));
+  EXPECT_TRUE(use_block_index(16));
 }
 
 TEST(BlockWayIndex, CapacityIsNextPow2OfTwiceWays) {

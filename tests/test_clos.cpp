@@ -15,7 +15,6 @@
 #include "src/core/partitioner_registry.hpp"
 #include "src/mem/banked_l2.hpp"
 #include "src/mem/cache_core.hpp"
-#include "src/mem/partitioned_cache.hpp"
 #include "src/sim/experiment.hpp"
 
 namespace capart {
@@ -273,8 +272,8 @@ TEST(ClosEnforcement, MaskChangeNeverFlushes) {
 }
 
 TEST(BankedClos, ApplyPlanCountsChangedMasksOnly) {
-  BankedL2 l2(geom(8, 8), 4, 2, mem::PartitionMode::kEvictionControl,
-              /*clos=*/true, /*clos_budget=*/4);
+  BankedL2 l2(geom(8, 8), 4, 2, mem::PartitionEnforcement::kClosWayMask,
+              /*clos_budget=*/4);
   ASSERT_TRUE(l2.clos_enforced());
   ASSERT_NE(l2.clos_plan(), nullptr);
   // Re-applying the plan in force changes nothing -> no mask-update cost.
@@ -302,9 +301,9 @@ TEST(BankedClos, ApplyPlanCountsChangedMasksOnly) {
 TEST(ClosConfig, NonClosModesRejectMoreThreadsThanWaysRecoverably) {
   // Satellite: the historical CHECK-abort is now a recoverable ConfigError
   // naming the flag and pointing at the CLOS escape hatch.
-  EXPECT_CONFIG_ERROR(
-      mem::PartitionedCache(geom(16, 4), 6, mem::PartitionMode::kEvictionControl),
-      "more threads");
+  EXPECT_CONFIG_ERROR(BankedL2(geom(16, 4), 6, 1,
+                               mem::PartitionEnforcement::kWayEvictionControl),
+                      "more threads");
   sim::ExperimentConfig config;
   config.num_threads = 16;
   config.l2 = geom(64, 8);

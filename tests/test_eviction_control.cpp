@@ -1,7 +1,8 @@
 // Tests for the §V way-partitioning-by-eviction-control mechanism — the
-// hardware substrate the whole paper rests on.
-#include "src/mem/partitioned_cache.hpp"
-
+// hardware substrate the whole paper rests on — on exact, hand-checked
+// cases: CacheCore under eviction control, flush-reconfiguration and global
+// replacement, and the shared L2 the simulator builds from it.
+// tests/test_reference_cache.cpp checks the same rules on random traffic.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -9,7 +10,8 @@
 
 #include "src/common/error.hpp"
 #include "src/common/rng.hpp"
-#include "src/mem/set_assoc_cache.hpp"
+#include "src/mem/banked_l2.hpp"
+#include "src/mem/cache_core.hpp"
 
 namespace capart::mem {
 namespace {
@@ -19,22 +21,22 @@ CacheGeometry one_set() { return {.sets = 1, .ways = 4, .line_bytes = 64}; }
 
 Addr blk(std::uint64_t b) { return b * 64; }
 
-TEST(PartitionedCache, HitAfterFill) {
-  PartitionedCache c(one_set(), 2, PartitionMode::kEvictionControl);
+TEST(EvictionControl, HitAfterFill) {
+  CacheCore c(one_set(), 2, PartitionEnforcement::kWayEvictionControl);
   EXPECT_FALSE(c.access(0, blk(1), AccessType::kRead).hit);
   EXPECT_TRUE(c.access(0, blk(1), AccessType::kRead).hit);
 }
 
-TEST(PartitionedCache, InitialTargetsAreEqualSplit) {
-  PartitionedCache c({.sets = 4, .ways = 64, .line_bytes = 64}, 4,
-                     PartitionMode::kEvictionControl);
+TEST(EvictionControl, InitialTargetsAreEqualSplit) {
+  CacheCore c({.sets = 4, .ways = 64, .line_bytes = 64}, 4,
+              PartitionEnforcement::kWayEvictionControl);
   const auto t = c.targets();
   EXPECT_EQ(t.size(), 4u);
   for (std::uint32_t w : t) EXPECT_EQ(w, 16u);
 }
 
-TEST(PartitionedCache, BelowTargetThreadEvictsForeignLine) {
-  PartitionedCache c(one_set(), 2, PartitionMode::kEvictionControl);
+TEST(EvictionControl, BelowTargetThreadEvictsForeignLine) {
+  CacheCore c(one_set(), 2, PartitionEnforcement::kWayEvictionControl);
   c.set_targets(std::vector<std::uint32_t>{2, 2});
   // Thread 0 fills all four ways.
   for (std::uint64_t b = 0; b < 4; ++b) c.access(0, blk(b), AccessType::kRead);
@@ -50,8 +52,8 @@ TEST(PartitionedCache, BelowTargetThreadEvictsForeignLine) {
   EXPECT_EQ(c.owned_in_set(0, 1), 1u);
 }
 
-TEST(PartitionedCache, AtTargetThreadEvictsOwnLine) {
-  PartitionedCache c(one_set(), 2, PartitionMode::kEvictionControl);
+TEST(EvictionControl, AtTargetThreadEvictsOwnLine) {
+  CacheCore c(one_set(), 2, PartitionEnforcement::kWayEvictionControl);
   c.set_targets(std::vector<std::uint32_t>{2, 2});
   // Fill: thread 0 gets blocks 0,1; thread 1 gets 10,11. Both at target.
   c.access(0, blk(0), AccessType::kRead);
@@ -70,10 +72,10 @@ TEST(PartitionedCache, AtTargetThreadEvictsOwnLine) {
   EXPECT_EQ(c.owned_in_set(0, 1), 2u);
 }
 
-TEST(PartitionedCache, HitsAreUnrestrictedAcrossPartitions) {
+TEST(EvictionControl, HitsAreUnrestrictedAcrossPartitions) {
   // Constructive sharing (§IV-A2): thread 1 may hit on thread 0's line even
   // when thread 1 holds zero ways of its own.
-  PartitionedCache c(one_set(), 2, PartitionMode::kEvictionControl);
+  CacheCore c(one_set(), 2, PartitionEnforcement::kWayEvictionControl);
   c.set_targets(std::vector<std::uint32_t>{3, 1});
   c.access(0, blk(5), AccessType::kRead);
   const auto r = c.access(1, blk(5), AccessType::kRead);
@@ -85,11 +87,11 @@ TEST(PartitionedCache, HitsAreUnrestrictedAcrossPartitions) {
   EXPECT_EQ(c.owned_in_set(0, 1), 0u);
 }
 
-TEST(PartitionedCache, PartitionConvergesTowardTargets) {
+TEST(EvictionControl, PartitionConvergesTowardTargets) {
   // Under sustained misses from both threads the per-set ownership converges
   // to the target split, gradually, through replacements (§V: no flush).
-  PartitionedCache c({.sets = 4, .ways = 8, .line_bytes = 64}, 2,
-                     PartitionMode::kEvictionControl);
+  CacheCore c({.sets = 4, .ways = 8, .line_bytes = 64}, 2,
+              PartitionEnforcement::kWayEvictionControl);
   c.set_targets(std::vector<std::uint32_t>{6, 2});
   Rng rng(1);
   std::uint64_t next0 = 0, next1 = 1'000'000;
@@ -108,8 +110,8 @@ TEST(PartitionedCache, PartitionConvergesTowardTargets) {
   EXPECT_EQ(c.owned_total(1), 8u);
 }
 
-TEST(PartitionedCache, RetargetingMovesOwnershipGradually) {
-  PartitionedCache c(one_set(), 2, PartitionMode::kEvictionControl);
+TEST(EvictionControl, RetargetingMovesOwnershipGradually) {
+  CacheCore c(one_set(), 2, PartitionEnforcement::kWayEvictionControl);
   c.set_targets(std::vector<std::uint32_t>{2, 2});
   c.access(0, blk(0), AccessType::kRead);
   c.access(0, blk(1), AccessType::kRead);
@@ -127,23 +129,23 @@ TEST(PartitionedCache, RetargetingMovesOwnershipGradually) {
   EXPECT_EQ(c.owned_in_set(0, 0), 1u);
 }
 
-TEST(PartitionedCache, UnpartitionedModeIsGlobalLru) {
+TEST(EvictionControl, UnpartitionedModeIsGlobalLru) {
   // Against a plain LRU reference: identical hit/miss stream.
   const CacheGeometry g = {.sets = 8, .ways = 4, .line_bytes = 64};
-  PartitionedCache c(g, 2, PartitionMode::kUnpartitioned);
-  SetAssocCache ref(g);
+  CacheCore c(g, 2, PartitionEnforcement::kNone);
+  CacheCore ref(g, 1, PartitionEnforcement::kNone);
   Rng rng(3);
   for (int i = 0; i < 20'000; ++i) {
     const Addr a = blk(rng.below(200));
     const auto t = static_cast<ThreadId>(rng.below(2));
     EXPECT_EQ(c.access(t, a, AccessType::kRead).hit,
-              ref.access(a, AccessType::kRead))
+              ref.access(0, a, AccessType::kRead).hit)
         << "diverged at access " << i;
   }
 }
 
-TEST(PartitionedCache, DestructiveEvictionAttribution) {
-  PartitionedCache c(one_set(), 2, PartitionMode::kUnpartitioned);
+TEST(EvictionControl, DestructiveEvictionAttribution) {
+  CacheCore c(one_set(), 2, PartitionEnforcement::kNone);
   for (std::uint64_t b = 0; b < 4; ++b) c.access(0, blk(b), AccessType::kRead);
   c.access(1, blk(20), AccessType::kRead);  // evicts thread 0's LRU line
   EXPECT_EQ(c.stats().thread(1).inter_thread_evictions_caused, 1u);
@@ -151,25 +153,25 @@ TEST(PartitionedCache, DestructiveEvictionAttribution) {
   EXPECT_EQ(c.stats().thread(1).intra_thread_evictions, 0u);
 }
 
-TEST(PartitionedCache, IntraThreadEvictionAttribution) {
-  PartitionedCache c(one_set(), 2, PartitionMode::kUnpartitioned);
+TEST(EvictionControl, IntraThreadEvictionAttribution) {
+  CacheCore c(one_set(), 2, PartitionEnforcement::kNone);
   for (std::uint64_t b = 0; b < 5; ++b) c.access(0, blk(b), AccessType::kRead);
   EXPECT_EQ(c.stats().thread(0).intra_thread_evictions, 1u);
   EXPECT_EQ(c.stats().thread(0).inter_thread_evictions_caused, 0u);
 }
 
-TEST(PartitionedCache, LastAccessorGovernsInteraction) {
+TEST(EvictionControl, LastAccessorGovernsInteraction) {
   // Thread 0 inserts, thread 1 touches (constructive), thread 0 touching
   // again is another inter-thread interaction even though it owns the line.
-  PartitionedCache c(one_set(), 2, PartitionMode::kEvictionControl);
+  CacheCore c(one_set(), 2, PartitionEnforcement::kWayEvictionControl);
   c.access(0, blk(7), AccessType::kRead);
   EXPECT_TRUE(c.access(1, blk(7), AccessType::kRead).inter_thread_hit);
   EXPECT_TRUE(c.access(0, blk(7), AccessType::kRead).inter_thread_hit);
   EXPECT_FALSE(c.access(0, blk(7), AccessType::kRead).inter_thread_hit);
 }
 
-TEST(PartitionedCache, FlushReconfigureRemovesWaysImmediately) {
-  PartitionedCache c(one_set(), 2, PartitionMode::kFlushReconfigure);
+TEST(EvictionControl, FlushReconfigureRemovesWaysImmediately) {
+  CacheCore c(one_set(), 2, PartitionEnforcement::kWayFlushReconfigure);
   c.set_targets(std::vector<std::uint32_t>{2, 2});
   c.access(0, blk(0), AccessType::kRead);
   c.access(0, blk(1), AccessType::kRead);
@@ -188,8 +190,8 @@ TEST(PartitionedCache, FlushReconfigureRemovesWaysImmediately) {
   EXPECT_EQ(c.owned_in_set(0, 1), 2u);
 }
 
-TEST(PartitionedCache, FlushReconfigureNoOpRetargetFlushesNothing) {
-  PartitionedCache c(one_set(), 2, PartitionMode::kFlushReconfigure);
+TEST(EvictionControl, FlushReconfigureNoOpRetargetFlushesNothing) {
+  CacheCore c(one_set(), 2, PartitionEnforcement::kWayFlushReconfigure);
   c.set_targets(std::vector<std::uint32_t>{2, 2});
   c.access(0, blk(0), AccessType::kRead);
   c.set_targets(std::vector<std::uint32_t>{2, 2});
@@ -197,16 +199,16 @@ TEST(PartitionedCache, FlushReconfigureNoOpRetargetFlushesNothing) {
   EXPECT_TRUE(c.contains(blk(0)));
 }
 
-TEST(PartitionedCache, EvictionControlNeverFlushesOnRetarget) {
-  PartitionedCache c(one_set(), 2, PartitionMode::kEvictionControl);
+TEST(EvictionControl, EvictionControlNeverFlushesOnRetarget) {
+  CacheCore c(one_set(), 2, PartitionEnforcement::kWayEvictionControl);
   c.access(0, blk(0), AccessType::kRead);
   c.set_targets(std::vector<std::uint32_t>{1, 3});
   EXPECT_EQ(c.flushed_on_last_retarget(), 0u);
   EXPECT_TRUE(c.contains(blk(0)));
 }
 
-TEST(PartitionedCache, DirtyEvictionsCountAsWritebacks) {
-  PartitionedCache c(one_set(), 2, PartitionMode::kUnpartitioned);
+TEST(EvictionControl, DirtyEvictionsCountAsWritebacks) {
+  CacheCore c(one_set(), 2, PartitionEnforcement::kNone);
   c.access(0, blk(0), AccessType::kWrite);  // dirty
   c.access(0, blk(1), AccessType::kRead);   // clean
   c.access(0, blk(2), AccessType::kRead);
@@ -219,8 +221,8 @@ TEST(PartitionedCache, DirtyEvictionsCountAsWritebacks) {
   EXPECT_EQ(c.stats().thread(1).writebacks, 1u);
 }
 
-TEST(PartitionedCache, WriteHitDirtiesTheLine) {
-  PartitionedCache c(one_set(), 2, PartitionMode::kUnpartitioned);
+TEST(EvictionControl, WriteHitDirtiesTheLine) {
+  CacheCore c(one_set(), 2, PartitionEnforcement::kNone);
   c.access(0, blk(0), AccessType::kRead);   // clean fill
   c.access(0, blk(0), AccessType::kWrite);  // dirtied by the hit
   for (std::uint64_t b = 1; b < 4; ++b) c.access(0, blk(b), AccessType::kRead);
@@ -228,23 +230,23 @@ TEST(PartitionedCache, WriteHitDirtiesTheLine) {
   EXPECT_EQ(c.stats().thread(0).writebacks, 1u);
 }
 
-TEST(PartitionedCache, TargetValidation) {
-  PartitionedCache c(one_set(), 2, PartitionMode::kEvictionControl);
+TEST(EvictionControl, TargetValidation) {
+  CacheCore c(one_set(), 2, PartitionEnforcement::kWayEvictionControl);
   EXPECT_DEATH(c.set_targets(std::vector<std::uint32_t>{4, 1}), "sum");
   EXPECT_DEATH(c.set_targets(std::vector<std::uint32_t>{4, 0}),
                "at least one way");
   EXPECT_DEATH(c.set_targets(std::vector<std::uint32_t>{4}), "per thread");
-  PartitionedCache u(one_set(), 2, PartitionMode::kUnpartitioned);
+  CacheCore u(one_set(), 2, PartitionEnforcement::kNone);
   EXPECT_DEATH(u.set_targets(std::vector<std::uint32_t>{2, 2}),
                "eviction control");
 }
 
-TEST(PartitionedCache, MoreThreadsThanWaysRejected) {
+TEST(EvictionControl, MoreThreadsThanWaysRejected) {
   // Recoverable misconfiguration, not an abort: the message points at the
   // CLOS enforcement mode, which is the configuration that can serve it.
   try {
-    PartitionedCache c({.sets = 1, .ways = 2, .line_bytes = 64}, 3,
-                       PartitionMode::kEvictionControl);
+    BankedL2 c({.sets = 1, .ways = 2, .line_bytes = 64}, 3, /*banks=*/1,
+               PartitionEnforcement::kWayEvictionControl);
     FAIL() << "3 threads on 2 ways must be rejected";
   } catch (const ConfigError& e) {
     EXPECT_NE(std::string(e.what()).find("more threads"), std::string::npos);
@@ -255,14 +257,14 @@ TEST(PartitionedCache, MoreThreadsThanWaysRejected) {
 /// Property sweep: under random traffic and random (valid) retargeting, the
 /// per-set ownership counters always sum to the number of valid lines and
 /// never go negative, and cumulative stats stay consistent.
-class PartitionedCacheProperty
+class EvictionControlProperty
     : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(PartitionedCacheProperty, OwnershipAccounting) {
+TEST_P(EvictionControlProperty, OwnershipAccounting) {
   Rng rng(GetParam());
   const CacheGeometry g = {.sets = 4, .ways = 8, .line_bytes = 64};
   const ThreadId n = 4;
-  PartitionedCache c(g, n, PartitionMode::kEvictionControl);
+  CacheCore c(g, n, PartitionEnforcement::kWayEvictionControl);
   for (int i = 0; i < 5'000; ++i) {
     if (i % 512 == 0) {
       // Random valid retarget.
@@ -294,7 +296,7 @@ TEST_P(PartitionedCacheProperty, OwnershipAccounting) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(RandomTraffic, PartitionedCacheProperty,
+INSTANTIATE_TEST_SUITE_P(RandomTraffic, EvictionControlProperty,
                          ::testing::Range<std::uint64_t>(0, 8));
 
 }  // namespace

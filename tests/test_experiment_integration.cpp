@@ -208,6 +208,37 @@ TEST(Experiment, RejectsDegenerateConfigs) {
   EXPECT_CONFIG_ERROR(run_experiment(c2), ">= 1 interval");
 }
 
+// Each configuration below is a capart_sim command line whose caches cannot
+// be built; validation must reject it recoverably, before construction.
+
+TEST(Experiment, ColoringNeedsL2WaysToDivideL2Sets) {
+  ExperimentConfig c = small("cg");
+  c.l2_mode = mem::L2Mode::kSetPartitionedShared;
+  c.l2.sets = 32;  // --l2-mode=coloring --l2-sets=32: 64 colors, 32 sets
+  EXPECT_CONFIG_ERROR(run_experiment(c), "--l2-ways to divide --l2-sets");
+  c.l2.sets = 256;
+  c.l2.ways = 48;  // --l2-mode=coloring --l2-ways=48
+  EXPECT_CONFIG_ERROR(run_experiment(c), "--l2-ways to divide --l2-sets");
+  c.l2.ways = 64;
+  c.l2.line_bytes = 8192;  // lines larger than the coloring page
+  EXPECT_CONFIG_ERROR(run_experiment(c), "4096-byte pages");
+}
+
+TEST(Experiment, UmonPolicyNeedsASampledL2Set) {
+  ExperimentConfig c = small("cg");
+  c.policy = "umon";  // --policy=umon --l2-sets=4 --l2-ways=16
+  c.l2.sets = 4;
+  c.l2.ways = 16;
+  EXPECT_CONFIG_ERROR(run_experiment(c), "--l2-sets=4 leaves none");
+}
+
+TEST(Experiment, L2WaysBeyondSixteenBitsAreRejected) {
+  ExperimentConfig c = small("cg");
+  c.l2.sets = 1;  // --l2-sets=1 --l2-ways=65536
+  c.l2.ways = 65536;
+  EXPECT_CONFIG_ERROR(run_experiment(c), "at most 65535 ways");
+}
+
 TEST(Experiment, RegionBasesAreDisjoint) {
   EXPECT_NE(private_region_base(0), private_region_base(1));
   EXPECT_GT(shared_region_base(), private_region_base(63));

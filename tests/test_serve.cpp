@@ -429,7 +429,16 @@ TEST(ServeEndToEnd, InvalidSpecsGet400WithThePath) {
   EXPECT_NE(bad_json.find("400 Bad Request"), std::string::npos);
   EXPECT_NE(bad_json.find("offset"), std::string::npos);
 
-  // The connection survived all three rejections (keep-alive).
+  // 64 colors (one per way) cannot divide 32 sets: a 400, not a dead server.
+  ASSERT_TRUE(client.send_request(post_run(
+      "{\"config\":{\"l2_mode\":\"set-partitioned-shared\","
+      "\"l2\":{\"sets\":32}}}")));
+  const std::string bad_coloring = client.read_response();
+  EXPECT_NE(bad_coloring.find("400 Bad Request"), std::string::npos);
+  EXPECT_NE(bad_coloring.find("--l2-ways to divide --l2-sets"),
+            std::string::npos);
+
+  // The connection survived all four rejections (keep-alive).
   ASSERT_TRUE(client.send_request("GET /healthz HTTP/1.1\r\n\r\n"));
   EXPECT_NE(client.read_response().find("200 OK"), std::string::npos);
   server.shutdown();

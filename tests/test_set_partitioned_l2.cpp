@@ -1,5 +1,5 @@
 // Tests for the page-coloring (set-partitioning) mechanism extension.
-#include "src/mem/set_partitioned_cache.hpp"
+#include "src/mem/set_partitioned_l2.hpp"
 
 #include <gtest/gtest.h>
 
@@ -16,27 +16,26 @@ namespace {
 // to reason about exactly.
 CacheGeometry tiny() { return {.sets = 16, .ways = 2, .line_bytes = 64}; }
 
-SetPartitionedCache make_tiny(ThreadId threads) {
-  return SetPartitionedCache(tiny(), threads, /*colors=*/4,
-                             /*page_bytes=*/256);
+SetPartitionedL2 make_tiny(ThreadId threads) {
+  return SetPartitionedL2(tiny(), threads, /*colors=*/4, /*page_bytes=*/256);
 }
 
 Addr blk(std::uint64_t b) { return b * 64; }
 
-TEST(SetPartitionedCache, HitAfterFill) {
-  SetPartitionedCache c = make_tiny(2);
-  EXPECT_FALSE(c.access(0, blk(0), AccessType::kRead).hit);
-  EXPECT_TRUE(c.access(0, blk(0), AccessType::kRead).hit);
+TEST(SetPartitionedL2, HitAfterFill) {
+  SetPartitionedL2 c = make_tiny(2);
+  EXPECT_FALSE(c.access(0, blk(0), AccessType::kRead));
+  EXPECT_TRUE(c.access(0, blk(0), AccessType::kRead));
 }
 
-TEST(SetPartitionedCache, InitialColorSplitIsEqual) {
-  SetPartitionedCache c = make_tiny(2);
+TEST(SetPartitionedL2, InitialColorSplitIsEqual) {
+  SetPartitionedL2 c = make_tiny(2);
   EXPECT_EQ(c.colors_of(0).size(), 2u);
   EXPECT_EQ(c.colors_of(1).size(), 2u);
 }
 
-TEST(SetPartitionedCache, FirstTouchAssignsPagesToTheTouchersColors) {
-  SetPartitionedCache c = make_tiny(2);
+TEST(SetPartitionedL2, FirstTouchAssignsPagesToTheTouchersColors) {
+  SetPartitionedL2 c = make_tiny(2);
   // Thread 1 touches pages 0 and 1 first; pages get thread 1's colors
   // (2, 3), so thread 0's colors (0, 1) stay untouched: thread 0 filling
   // its own pages afterwards cannot evict thread 1's lines.
@@ -50,15 +49,15 @@ TEST(SetPartitionedCache, FirstTouchAssignsPagesToTheTouchersColors) {
   EXPECT_TRUE(c.contains(blk(4)));
 }
 
-TEST(SetPartitionedCache, SharedPagesBreakIsolation) {
+TEST(SetPartitionedL2, SharedPagesBreakIsolation) {
   // The page-coloring weakness: a page first touched by thread 0 lives in
   // thread 0's colors, so thread 1's accesses to it consume — and can evict
   // from — thread 0's partition.
-  SetPartitionedCache c = make_tiny(2);
+  SetPartitionedL2 c = make_tiny(2);
   c.access(0, blk(0), AccessType::kRead);  // page 0 -> thread 0's colors
-  const auto r = c.access(1, blk(0), AccessType::kRead);
-  EXPECT_TRUE(r.hit);
-  EXPECT_TRUE(r.inter_thread_hit);  // constructive sharing still works
+  EXPECT_TRUE(c.access(1, blk(0), AccessType::kRead));
+  // Constructive sharing still works.
+  EXPECT_EQ(c.stats().thread(1).inter_thread_hits, 1u);
   // Thread 1's own first-touch pages flood the same color only if they land
   // there; pages it first-touches go to ITS colors, so the destructive path
   // runs through shared pages: thread 1 touching many blocks of page 0's
@@ -78,15 +77,15 @@ TEST(SetPartitionedCache, SharedPagesBreakIsolation) {
             evictions_before);
 }
 
-TEST(SetPartitionedCache, RetargetingMovesColors) {
-  SetPartitionedCache c = make_tiny(2);
+TEST(SetPartitionedL2, RetargetingMovesColors) {
+  SetPartitionedL2 c = make_tiny(2);
   c.set_targets(std::vector<std::uint32_t>{3, 1});
   EXPECT_EQ(c.colors_of(0).size(), 3u);
   EXPECT_EQ(c.colors_of(1).size(), 1u);
 }
 
-TEST(SetPartitionedCache, RecoloringStrandsCachedLines) {
-  SetPartitionedCache c = make_tiny(2);
+TEST(SetPartitionedL2, RecoloringStrandsCachedLines) {
+  SetPartitionedL2 c = make_tiny(2);
   // Thread 1's first page (page 5) lands on its first color (color 2).
   c.access(1, blk(20), AccessType::kRead);
   EXPECT_TRUE(c.contains(blk(20)));
@@ -95,24 +94,24 @@ TEST(SetPartitionedCache, RecoloringStrandsCachedLines) {
   c.set_targets(std::vector<std::uint32_t>{3, 1});
   EXPECT_FALSE(c.contains(blk(20)));
   // The next access misses (the recoloring cost) and refills at color 3.
-  EXPECT_FALSE(c.access(1, blk(20), AccessType::kRead).hit);
+  EXPECT_FALSE(c.access(1, blk(20), AccessType::kRead));
   EXPECT_TRUE(c.contains(blk(20)));
 }
 
-TEST(SetPartitionedCache, TargetValidation) {
-  SetPartitionedCache c = make_tiny(2);
+TEST(SetPartitionedL2, TargetValidation) {
+  SetPartitionedL2 c = make_tiny(2);
   EXPECT_DEATH(c.set_targets(std::vector<std::uint32_t>{4, 1}), "sum");
   EXPECT_DEATH(c.set_targets(std::vector<std::uint32_t>{4, 0}),
                "at least one color");
   EXPECT_DEATH(c.set_targets(std::vector<std::uint32_t>{4}), "per thread");
 }
 
-TEST(SetPartitionedCache, GeometryValidation) {
-  EXPECT_DEATH(SetPartitionedCache(tiny(), 2, /*colors=*/5, 256),
+TEST(SetPartitionedL2, GeometryValidation) {
+  EXPECT_DEATH(SetPartitionedL2(tiny(), 2, /*colors=*/5, 256),
                "divide the set count");
-  EXPECT_DEATH(SetPartitionedCache(tiny(), 5, /*colors=*/4, 256),
+  EXPECT_DEATH(SetPartitionedL2(tiny(), 5, /*colors=*/4, 256),
                "one color per thread");
-  EXPECT_DEATH(SetPartitionedCache(tiny(), 2, 4, /*page_bytes=*/96),
+  EXPECT_DEATH(SetPartitionedL2(tiny(), 2, 4, /*page_bytes=*/96),
                "multiple of the line size");
 }
 
@@ -135,7 +134,7 @@ class SetPartitionProperty : public ::testing::TestWithParam<std::uint64_t> {
 };
 
 TEST_P(SetPartitionProperty, StatsStayConsistent) {
-  SetPartitionedCache c(tiny(), 2, 4, 256);
+  SetPartitionedL2 c(tiny(), 2, 4, 256);
   Rng rng(GetParam());
   for (int i = 0; i < 4'000; ++i) {
     if (i % 512 == 511) {

@@ -4,19 +4,13 @@
 // correctness-by-construction: every backend (AVX2/SSE2/NEON) must return
 // exactly the scalar loop's first-match-or-ways answer for every tag array,
 // width and needle — including the kInvalidTag sentinel that encodes
-// emptiness and duplicate tags where "first" matters. Two layers pin it:
+// emptiness and duplicate tags where "first" matters. A randomized fuzz of
+// find_tag against find_tag_scalar covers widths 1..48 (every partial-vector
+// tail of every backend), sentinel density and duplicate placement. End to
+// end, the scan-probed caches (below 16 ways) are held to a naive reference
+// model by tests/test_reference_cache.cpp.
 //
-//   * a randomized fuzz of find_tag against find_tag_scalar over widths
-//     1..48 (covering every partial-vector tail of every backend), sentinel
-//     density and duplicate placement;
-//   * an end-to-end differential: full experiments under the scan index
-//     (which probes through find_tag) must be bit-identical to the hash
-//     index (an independent lookup mechanism that never touches the SIMD
-//     path), across replacement policies x enforcement modes on random
-//     seeds. A probe bug that somehow survived the fuzz would desynchronize
-//     hits/misses here.
-//
-// The scalar build (-DCAPART_DISABLE_SIMD=ON) runs the same suite with
+// The scalar build (-DCAPART_DISABLE_SIMD=ON) runs the same suites with
 // find_tag aliased to the scalar loop, keeping the fallback honest too.
 #include <gtest/gtest.h>
 
@@ -26,10 +20,8 @@
 #include <string>
 #include <vector>
 
-#include "src/mem/l2_organization.hpp"
 #include "src/mem/replacement.hpp"
 #include "src/mem/simd.hpp"
-#include "src/sim/experiment.hpp"
 
 namespace capart {
 namespace {
@@ -110,66 +102,6 @@ TEST(SimdDifferential, FindTagEdgeWidths) {
   EXPECT_EQ(mem::simd::find_tag(tags.data(), 9, 43), 9u);
   EXPECT_EQ(mem::simd::find_tag(tags.data(), 1, 42), 1u);
   EXPECT_EQ(mem::simd::find_tag(tags.data(), 0, 42), 0u);
-}
-
-struct EnforceMode {
-  const char* name;
-  mem::L2Mode l2_mode;
-  mem::L2Enforce enforce;
-};
-
-const EnforceMode kModes[] = {
-    {"default", mem::L2Mode::kPartitionedShared, mem::L2Enforce::kModeDefault},
-    {"eviction-control", mem::L2Mode::kPartitionedShared,
-     mem::L2Enforce::kEvictionControl},
-    {"clos", mem::L2Mode::kPartitionedShared, mem::L2Enforce::kClosWayMask},
-    {"flush", mem::L2Mode::kFlushReconfigureShared,
-     mem::L2Enforce::kModeDefault},
-};
-
-void expect_identical(const sim::ExperimentResult& a,
-                      const sim::ExperimentResult& b,
-                      const std::string& what) {
-  EXPECT_EQ(a.outcome.total_cycles, b.outcome.total_cycles) << what;
-  EXPECT_EQ(a.outcome.instructions_retired, b.outcome.instructions_retired)
-      << what;
-  const mem::ThreadCacheCounters ta = a.l2_stats.total();
-  const mem::ThreadCacheCounters tb = b.l2_stats.total();
-  EXPECT_EQ(ta.accesses, tb.accesses) << what;
-  EXPECT_EQ(ta.hits, tb.hits) << what;
-  EXPECT_EQ(ta.misses, tb.misses) << what;
-  EXPECT_EQ(ta.writebacks, tb.writebacks) << what;
-}
-
-TEST(SimdDifferential, ScanProbeMatchesHashIndexAcrossTheMatrix) {
-  const std::uint64_t base_seed = std::random_device{}();
-  std::printf("simd experiment differential base_seed=%llu\n",
-              static_cast<unsigned long long>(base_seed));
-  std::mt19937_64 mix(base_seed);
-
-  const char* policies[] = {"ucp", "model-based", "static-equal"};
-  for (const char* policy : policies) {
-    for (const EnforceMode& mode : kModes) {
-      sim::ExperimentConfig cfg;
-      cfg.profile = "cg";
-      cfg.num_threads = 4;
-      cfg.num_intervals = 5;
-      cfg.interval_instructions = 24'000;
-      cfg.policy = policy;
-      cfg.seed = mix();
-      cfg.l2_mode = mode.l2_mode;
-      cfg.l2_enforce = mode.enforce;
-
-      const std::string what = std::string(policy) + "/" + mode.name +
-                               " seed=" + std::to_string(cfg.seed);
-      sim::ExperimentConfig scan = cfg;
-      scan.l2.index = mem::IndexKind::kScan;
-      sim::ExperimentConfig hash = cfg;
-      hash.l2.index = mem::IndexKind::kHash;
-      expect_identical(sim::run_experiment(scan), sim::run_experiment(hash),
-                       what);
-    }
-  }
 }
 
 }  // namespace

@@ -39,12 +39,10 @@ sim::ExperimentConfig full_config() {
   c.l1.ways = 2;
   c.l1.line_bytes = 32;
   c.l1.repl = mem::ReplacementKind::kSrrip;
-  c.l1.index = mem::IndexKind::kScan;
   c.l2.sets = 512;
   c.l2.ways = 16;
   c.l2.line_bytes = 128;
   c.l2.repl = mem::ReplacementKind::kTreePlru;
-  c.l2.index = mem::IndexKind::kHash;
   c.timing.base_cycles_per_instruction = 2;
   c.timing.private_l2_hit_penalty = 9;
   c.timing.l2_hit_penalty = 13;
@@ -61,7 +59,6 @@ sim::ExperimentConfig full_config() {
   c.private_l2.ways = 4;
   c.private_l2.line_bytes = 64;
   c.private_l2.repl = mem::ReplacementKind::kSrrip;
-  c.private_l2.index = mem::IndexKind::kAuto;
   c.runtime_overhead_cycles = 55;
   c.reconfigure_flush_cost_per_line = 7;
   c.barrier_release_cost = 44;
@@ -88,7 +85,6 @@ TEST(SpecJson, EveryConfigFieldSurvivesTheRoundTrip) {
 
   // Spot-check the fields the CLI grew flags for most recently.
   EXPECT_EQ(decoded.l2.repl, mem::ReplacementKind::kTreePlru);
-  EXPECT_EQ(decoded.l2.index, mem::IndexKind::kHash);
   EXPECT_EQ(decoded.l2_banks, 4u);
   EXPECT_EQ(decoded.l2_enforce, mem::L2Enforce::kEvictionControl);
   EXPECT_EQ(decoded.clos_budget, 5u);
@@ -155,14 +151,19 @@ TEST(SpecJson, RejectsTypeMismatchesNamingThePath) {
   EXPECT_CONFIG_ERROR(reparse(R"([1,2])"), "expected a JSON object");
 }
 
+TEST(SpecJson, TagIndexIsNotAConfigKey) {
+  // The lookup mechanism follows the associativity; a spec still naming it
+  // gets the codec's unknown-key error.
+  EXPECT_CONFIG_ERROR(reparse(R"({"l2":{"index":"hash"}})"),
+                      "unknown key");
+}
+
 TEST(SpecJson, RejectsUnknownEnumSpellings) {
   EXPECT_CONFIG_ERROR(reparse(R"({"policy":"modell"})"), "unknown policy");
   EXPECT_CONFIG_ERROR(reparse(R"({"l2_mode":"sharedish"})"),
                       "spec.l2_mode");
   EXPECT_CONFIG_ERROR(reparse(R"({"l2":{"repl":"mru"}})"),
                       "lru, plru or srrip");
-  EXPECT_CONFIG_ERROR(reparse(R"({"l2":{"index":"btree"}})"),
-                      "scan, hash or auto");
   EXPECT_CONFIG_ERROR(reparse(R"({"l2_enforce":"msr"})"),
                       "default, eviction-control or clos");
   EXPECT_CONFIG_ERROR(reparse(R"({"clos_mapper":"furthest"})"),
@@ -338,7 +339,6 @@ TEST(SpecRequestJson, GoldenSpecDocumentStaysParseable) {
             mem::L2Enforce::kClosWayMask);
   EXPECT_EQ(request.spec.arms[0].config.l2.repl,
             mem::ReplacementKind::kSrrip);
-  EXPECT_EQ(request.spec.arms[0].config.l2.index, mem::IndexKind::kHash);
   EXPECT_EQ(request.spec.arms[0].config.l2_banks, 4u);
   EXPECT_EQ(request.spec.arms[1].name, "mg/baseline");
   EXPECT_TRUE(core::is_no_policy(request.spec.arms[1].config.policy));

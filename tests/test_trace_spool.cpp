@@ -151,7 +151,6 @@ TEST(TraceSpool, KeyCoversStreamIdentityAndNothingElse) {
   // share spool entries — that sharing is the whole point of the spool.
   ExperimentConfig arm = base;
   arm.policy = "model-based";
-  arm.l2.index = mem::IndexKind::kHash;
   arm.l2_banks = 4;
   arm.l2_enforce = mem::L2Enforce::kClosWayMask;
   arm.trace_spool_max_bytes = 1 << 20;

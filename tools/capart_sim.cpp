@@ -60,8 +60,6 @@ flags:
   --l2-sets=N           shared-cache sets (default 256)
   --l2-repl=NAME        shared-cache replacement: lru plru srrip (default lru)
   --l1-repl=NAME        private-L1 replacement: lru plru srrip (default lru)
-  --l2-index=NAME       shared-cache tag lookup: scan hash auto (default
-                        auto); results are bit-identical across kinds
   --overhead=N          runtime repartition overhead in cycles (default 800)
   --l2-banks=N          shared-cache banks: address-interleaved structure +
                         bank-contention timing (0 = monolithic, no
@@ -151,16 +149,6 @@ mem::ReplacementKind parse_repl(std::string_view v, const char* flag) {
   mem::ReplacementKind kind{};
   if (!mem::parse_replacement(v, kind)) {
     std::fprintf(stderr, "invalid value for %s: want lru, plru or srrip\n",
-                 flag);
-    usage(2);
-  }
-  return kind;
-}
-
-mem::IndexKind parse_index(std::string_view v, const char* flag) {
-  mem::IndexKind kind{};
-  if (!mem::parse_index_kind(v, kind)) {
-    std::fprintf(stderr, "invalid value for %s: want scan, hash or auto\n",
                  flag);
     usage(2);
   }
@@ -266,8 +254,6 @@ int main(int argc, char** argv) {
         cfg.l2.sets = parse_u32_flag(value, "--l2-sets");
       else if (key == "--l2-repl") cfg.l2.repl = parse_repl(value, "--l2-repl");
       else if (key == "--l1-repl") cfg.l1.repl = parse_repl(value, "--l1-repl");
-      else if (key == "--l2-index")
-        cfg.l2.index = parse_index(value, "--l2-index");
       else if (key == "--overhead")
         cfg.runtime_overhead_cycles = parse_u64_flag(value, "--overhead");
       else if (key == "--l2-banks")
