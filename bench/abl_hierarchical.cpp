@@ -7,6 +7,7 @@
 #include <string>
 
 #include "bench_common.hpp"
+#include "src/common/error.hpp"
 #include "src/report/table.hpp"
 #include "src/sim/coschedule.hpp"
 
@@ -34,7 +35,7 @@ sim::CoScheduleResult run_pair(const bench::BenchOptions& opt,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const bench::BenchOptions opt = bench::parse_options(argc, argv);
   bench::banner(
       "Ablation: hierarchical OS + runtime partitioning, cg + mgrid "
@@ -82,4 +83,8 @@ int main(int argc, char** argv) {
   std::cout << "\n(paper Fig 16: the OS partitions among applications, the "
                "runtime partitions within each; both levels compose)\n";
   return bench::exit_status();
+} catch (const Error& error) {
+  // A configuration the co-scheduler rejects, e.g. --intervals=0.
+  std::cerr << error.what() << '\n';
+  return 1;
 }

@@ -1,6 +1,7 @@
 #include "src/sim/coschedule.hpp"
 
 #include "src/common/check.hpp"
+#include "src/common/error.hpp"
 #include "src/common/rng.hpp"
 #include "src/core/partitioner_registry.hpp"
 #include "src/sim/cmp_system.hpp"
@@ -12,7 +13,12 @@ namespace capart::sim {
 
 CoScheduleResult run_coscheduled(const CoScheduleConfig& config) {
   CAPART_CHECK(!config.apps.empty(), "coschedule: need at least one app");
-  CAPART_CHECK(config.num_intervals >= 1, "coschedule: need >= 1 interval");
+  if (config.num_intervals < 1 || config.interval_instructions < 1 ||
+      config.num_intervals > ~Instructions{0} / config.interval_instructions) {
+    throw ConfigError("intervals", "coschedule: intervals x interval "
+                                   "instructions must be positive and fit "
+                                   "64 bits");
+  }
 
   ThreadId total_threads = 0;
   for (const CoScheduledApp& app : config.apps) {

@@ -16,7 +16,8 @@ Driver::Driver(CmpSystem& system, Program program,
     : system_(system),
       program_(std::move(program)),
       sources_(std::move(sources)),
-      config_(config) {
+      config_(config),
+      tree_(program_.num_threads()) {
   program_.validate();
   CAPART_CHECK(program_.num_threads() == system_.config().num_threads,
                "program thread count must match the system");
@@ -108,10 +109,12 @@ void Driver::release_group_once(std::uint32_t group) {
   }
 }
 
-void Driver::maybe_release_group(std::uint32_t group) {
+bool Driver::maybe_release_group(std::uint32_t group) {
   // Zero-work sections resolve to immediate barriers, so keep releasing
   // until someone has work or the group finishes.
-  while (group_fully_waiting(group)) release_group_once(group);
+  bool released = false;
+  for (; group_fully_waiting(group); released = true) release_group_once(group);
+  return released;
 }
 
 void Driver::step(ThreadId t) {
@@ -210,100 +213,41 @@ RunOutcome Driver::run() {
 void Driver::begin() {
   CAPART_CHECK(!begun_, "driver: begin() called twice");
   begun_ = true;
-  for (ThreadId t = 0; t < threads_.size(); ++t) {
-    enter_section(threads_[t], t);
-  }
+  for (ThreadId t = 0; t < threads_.size(); ++t) enter_section(threads_[t], t);
   // Zero-work opening sections may leave whole groups waiting already.
+  for (const std::uint32_t group : group_of_) maybe_release_group(group);
+}
+
+void Driver::rebuild_tree() noexcept {
   for (ThreadId t = 0; t < threads_.size(); ++t) {
-    maybe_release_group(group_of_[t]);
+    const ThreadState& ts = threads_[t];
+    tree_.assign(t, ts.done || ts.waiting ? MinClockTree::kIdle
+                                          : MinClockTree::key(ts.clock, t));
   }
-  use_heap_ = config_.scheduler == SchedulerKind::kHeap ||
-              (config_.scheduler == SchedulerKind::kAuto &&
-               threads_.size() > 4);
+  tree_.rebuild();
 }
 
 bool Driver::advance_interval() {
   CAPART_CHECK(begun_, "driver: advance_interval() before begin()");
-  return use_heap_ ? advance_heap() : advance_scan();
-}
-
-bool Driver::advance_scan() {
+  // The last boundary's overhead moved every live clock (as begin() may
+  // have, releasing zero-work barriers): start from thread state.
+  rebuild_tree();
   for (;;) {
-    // Pick the runnable thread with the smallest clock.
-    ThreadId chosen = kNoThread;
-    bool any_live = false;
-    for (ThreadId t = 0; t < threads_.size(); ++t) {
-      const ThreadState& ts = threads_[t];
-      if (ts.done) continue;
-      any_live = true;
-      if (ts.waiting) continue;
-      if (chosen == kNoThread || ts.clock < threads_[chosen].clock) {
-        chosen = t;
-      }
-    }
-    if (!any_live) return false;
-    CAPART_CHECK(chosen != kNoThread,
-                 "deadlock: live threads exist but none are runnable");
-    step(chosen);
-    if (threads_[chosen].waiting) {
-      maybe_release_group(group_of_[chosen]);
-    }
-    if (aggregate_instructions_ >= next_boundary_) {
-      on_interval_boundary();
-      return true;
-    }
-  }
-}
-
-bool Driver::advance_heap() {
-  // Binary min-heap of runnable threads keyed by (clock, tid) — the same
-  // total order the scan's strict-< scan induces (lowest tid wins clock
-  // ties), so both schedulers pick identical threads and produce identical
-  // outcomes. Clock mutations outside pop/push are always uniform across
-  // every live thread (interval-boundary overhead), which preserves the heap
-  // invariant in place; barrier releases only touch waiting threads, which
-  // are never in the heap. The heap is rebuilt from thread state at every
-  // slice entry — at any boundary it holds exactly the runnable threads, and
-  // pop order depends only on the (clock, tid) total order, never on the
-  // heap's internal array layout, so slicing cannot change the schedule.
-  const auto later = [this](ThreadId a, ThreadId b) noexcept {
-    const Cycles ca = threads_[a].clock;
-    const Cycles cb = threads_[b].clock;
-    return ca != cb ? ca > cb : a > b;
-  };
-  std::vector<ThreadId> heap;
-  heap.reserve(threads_.size());
-  std::vector<std::uint8_t> in_heap(threads_.size(), 0);
-  const auto push_runnable = [&](ThreadId t) {
-    const ThreadState& ts = threads_[t];
-    if (ts.done || ts.waiting || in_heap[t] != 0) return;
-    in_heap[t] = 1;
-    heap.push_back(t);
-    std::push_heap(heap.begin(), heap.end(), later);
-  };
-  for (ThreadId t = 0; t < threads_.size(); ++t) push_runnable(t);
-
-  for (;;) {
-    if (heap.empty()) {
-      bool any_live = false;
-      for (const ThreadState& ts : threads_) any_live = any_live || !ts.done;
-      if (!any_live) return false;
-      CAPART_CHECK(false,
+    const MinClockTree::Key top = tree_.min();
+    if (top == MinClockTree::kIdle) {
+      CAPART_CHECK(std::all_of(threads_.begin(), threads_.end(),
+                               [](const ThreadState& ts) { return ts.done; }),
                    "deadlock: live threads exist but none are runnable");
+      return false;
     }
-    std::pop_heap(heap.begin(), heap.end(), later);
-    const ThreadId chosen = heap.back();
-    heap.pop_back();
-    in_heap[chosen] = 0;
+    const auto chosen = static_cast<ThreadId>(top);
     step(chosen);
-    if (threads_[chosen].waiting) {
-      maybe_release_group(group_of_[chosen]);
-      // A release wakes whole groups at once (rare next to steps, so the
-      // scan over members is cheap); re-admit everyone now runnable —
-      // including `chosen` if its barrier already resolved.
-      for (ThreadId t = 0; t < threads_.size(); ++t) push_runnable(t);
+    if (!threads_[chosen].waiting) {
+      tree_.update(chosen, MinClockTree::key(threads_[chosen].clock, chosen));
+    } else if (maybe_release_group(group_of_[chosen])) {
+      rebuild_tree();  // the release moved the whole group's clocks
     } else {
-      push_runnable(chosen);
+      tree_.update(chosen, MinClockTree::kIdle);
     }
     if (aggregate_instructions_ >= next_boundary_) {
       on_interval_boundary();

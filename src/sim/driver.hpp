@@ -1,12 +1,15 @@
 // Multi-thread interleaving execution driver.
 //
 // Threads advance on private cycle clocks; at each step the runnable thread
-// with the smallest clock executes its next unit (a non-memory run and/or one
-// memory access), so cache accesses from different cores interleave in
-// timestamp order. Barrier-delimited sections implement the parallel-program
-// structure of paper §III-B: threads that finish a section stall (stall
-// cycles are accounted separately from execution cycles) until the
-// critical-path thread arrives.
+// with the smallest clock (lowest tid on ties) executes its next unit (a
+// non-memory run and/or one memory access), so cache accesses from different
+// cores interleave in timestamp order. Barrier-delimited sections implement
+// the parallel-program structure of paper §III-B: threads that finish a
+// section stall (stall cycles are accounted separately from execution
+// cycles) until the critical-path thread arrives. A min-tree over the clocks
+// (sim::MinClockTree) picks the thread: a step re-derives the stepped
+// thread's leaf-to-root path; a barrier release or a new interval, which
+// move many clocks at once, rebuild the tree from thread state.
 //
 // Execution intervals (paper §VI) are delimited by aggregate retired
 // instructions; at each boundary an optional callback runs — this is where
@@ -23,6 +26,7 @@
 #include "src/common/types.hpp"
 #include "src/obs/obs.hpp"
 #include "src/sim/cmp_system.hpp"
+#include "src/sim/min_clock_tree.hpp"
 #include "src/sim/program.hpp"
 #include "src/trace/op_source.hpp"
 
@@ -30,23 +34,9 @@ namespace capart::sim {
 
 class FaultInjector;
 
-/// How Driver::run() picks the next runnable thread (always the one with the
-/// smallest clock, lowest tid on ties — the choice of structure never changes
-/// the outcome, only the cost of finding the minimum).
-enum class SchedulerKind : std::uint8_t {
-  /// Linear scan for <= 4 threads, binary heap above (the scan's better
-  /// constant wins at small counts; the heap's O(log n) wins at scale).
-  kAuto,
-  kScan,  ///< O(threads) min-clock scan per step
-  kHeap,  ///< binary min-heap keyed by (clock, tid)
-};
-
 struct DriverConfig {
   /// Aggregate retired instructions per execution interval.
   Instructions interval_instructions = 240'000;
-  /// Runnable-thread selection structure; outcome-invariant (see
-  /// SchedulerKind).
-  SchedulerKind scheduler = SchedulerKind::kAuto;
   /// Fixed cycles added to every thread at each barrier release (the cost of
   /// the synchronization construct itself).
   Cycles barrier_release_cost = 100;
@@ -105,11 +95,8 @@ class Driver {
   // Sliced execution: the run loop is also exposed in three stages, which
   // PreparedExperiment drives one interval per call (capart_bench times each
   // call). run() composes exactly these, and a sliced run is bit-identical
-  // to a monolithic one: the scan scheduler re-derives its choice from
-  // thread state every step anyway, and the heap scheduler's pop order is a
-  // pure function of the (clock, tid) total order over the runnable set, so
-  // rebuilding the heap at each slice entry reproduces the uninterrupted
-  // pop sequence.
+  // to a monolithic one: every slice rebuilds the min-tree from thread
+  // state, and its root is a pure function of that state.
 
   /// Opens the first sections and releases any zero-work barriers. Call
   /// once, before the first advance_interval().
@@ -156,16 +143,14 @@ class Driver {
 
   void enter_section(ThreadState& ts, ThreadId t);
   /// Releases `group`'s barrier as long as all its live members are waiting
-  /// (several times in a row for zero-work sections).
-  void maybe_release_group(std::uint32_t group);
+  /// (several times in a row for zero-work sections); true if it did.
+  bool maybe_release_group(std::uint32_t group);
   void release_group_once(std::uint32_t group);
   bool group_fully_waiting(std::uint32_t group) const;
   void step(ThreadId t);
   void on_interval_boundary();
-
-  /// advance_interval() bodies per scheduler; same contract.
-  bool advance_scan();
-  bool advance_heap();
+  /// Re-keys every tree leaf from thread state and rebuilds the tree.
+  void rebuild_tree() noexcept;
 
   CmpSystem& system_;
   Program program_;
@@ -175,11 +160,11 @@ class Driver {
   std::vector<ThreadState> threads_;
   std::vector<std::uint32_t> group_of_;
   std::vector<Migration> migrations_;
+  MinClockTree tree_;
   Instructions aggregate_instructions_ = 0;
   Instructions next_boundary_ = 0;
   std::uint64_t interval_index_ = 0;
   bool begun_ = false;
-  bool use_heap_ = false;
 };
 
 }  // namespace capart::sim

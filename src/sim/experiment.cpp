@@ -43,6 +43,12 @@ void ExperimentConfig::validate() const {
                       "interval too short for stable counters (need >= 1000 "
                       "instructions)");
   }
+  if (num_intervals > ~Instructions{0} / interval_instructions) {
+    throw ConfigError("interval-instr",
+                      std::to_string(num_intervals) + " intervals of " +
+                          std::to_string(interval_instructions) +
+                          " instructions overflow a 64-bit count");
+  }
   l1.validate();
   l2.validate();
   if (enable_private_l2) private_l2.validate();

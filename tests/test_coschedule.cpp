@@ -6,6 +6,8 @@
 
 #include <numeric>
 
+#include "tests/expect_config_error.hpp"
+
 namespace capart::sim {
 namespace {
 
@@ -93,6 +95,18 @@ TEST(CoSchedule, ThreeAppsWork) {
 TEST(CoSchedule, RejectsEmptyConfigs) {
   CoScheduleConfig empty;
   EXPECT_DEATH(run_coscheduled(empty), "at least one app");
+}
+
+TEST(CoSchedule, RejectsEmptyOrOverflowingInstructionBudgets) {
+  CoScheduleConfig cfg = small_pair();
+  cfg.num_intervals = 2;
+  cfg.interval_instructions = Instructions{1} << 63;
+  EXPECT_CONFIG_ERROR(run_coscheduled(cfg), "fit 64 bits");
+  cfg.interval_instructions = 0;
+  EXPECT_CONFIG_ERROR(run_coscheduled(cfg), "must be positive");
+  cfg.interval_instructions = 80'000;
+  cfg.num_intervals = 0;  // abl_hierarchical --intervals=0 once aborted
+  EXPECT_CONFIG_ERROR(run_coscheduled(cfg), "must be positive");
 }
 
 }  // namespace

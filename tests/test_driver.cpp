@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -16,7 +17,8 @@ SystemConfig config(ThreadId threads) {
   SystemConfig c;
   c.num_threads = threads;
   c.l1 = {.sets = 4, .ways = 2, .line_bytes = 64};
-  c.l2 = {.sets = 16, .ways = 8, .line_bytes = 64};
+  // A way per thread at least, as per-thread way targets need.
+  c.l2 = {.sets = 16, .ways = std::max<ThreadId>(threads, 8), .line_bytes = 64};
   c.l2_mode = mem::L2Mode::kPartitionedShared;
   return c;
 }
@@ -28,11 +30,12 @@ sim::DriverConfig driver_config(Instructions interval_instructions) {
 }
 
 std::unique_ptr<trace::OpSource> generator(ThreadId t, double mem_ratio,
-                                           std::uint32_t ws = 64) {
+                                           std::uint32_t ws = 64,
+                                           double share_fraction = 0.0) {
   trace::Phase phase;
   phase.params.mem_ratio = mem_ratio;
   phase.params.working_set_blocks = ws;
-  phase.params.share_fraction = 0.0;
+  phase.params.share_fraction = share_fraction;
   phase.duration = 1'000'000;
   return std::make_unique<trace::PhasedGenerator>(
       trace::PhaseSchedule({phase}), Rng(100 + t), (Addr{t} + 1) << 40,
@@ -183,140 +186,150 @@ TEST(Driver, BarrierReleaseCostIsCharged) {
   EXPECT_GE(run_with_cost(1'000), run_with_cost(0) + 10 * 1'000);
 }
 
-// The heap scheduler must be a pure data-structure swap: same thread picked
-// at every step as the scan, hence bit-identical outcomes and counters. Runs
-// a deliberately uneven 8-thread workload (mixed memory intensity, two
-// barrier groups, interval-callback overhead, one migration) under both
-// schedulers and compares everything observable.
-TEST(Driver, HeapSchedulerIsBitIdenticalToScan) {
-  struct Result {
-    RunOutcome outcome;
-    std::vector<cpu::CounterBlock> counters;
-  };
-  const auto run_with = [](SchedulerKind scheduler) {
-    const ThreadId n = 8;
-    CmpSystem sys(config(n));
-    Sources gens;
-    for (ThreadId t = 0; t < n; ++t) {
-      // Alternate fast compute-bound and slow memory-bound threads so clock
-      // ties and barrier stalls both occur.
-      gens.push_back(t % 2 == 0 ? generator(t, 0.05)
-                                : generator(t, 0.5, 2'048));
-    }
-    DriverConfig dc;
-    dc.interval_instructions = 20'000;
-    dc.scheduler = scheduler;
-    dc.barrier_group = {0, 0, 0, 0, 1, 1, 1, 1};
-    Driver driver(sys, make_uniform_program(n, 6, 15'000), std::move(gens),
-                  dc);
-    driver.set_interval_callback([](std::uint64_t) -> Cycles { return 250; });
-    driver.schedule_migration(2, 0, 1);
-    Result r;
-    r.outcome = driver.run();
-    for (ThreadId t = 0; t < n; ++t) {
-      r.counters.push_back(sys.counters().thread(t));
-    }
-    return r;
-  };
-  const Result scan = run_with(SchedulerKind::kScan);
-  const Result heap = run_with(SchedulerKind::kHeap);
-  EXPECT_EQ(scan.outcome.total_cycles, heap.outcome.total_cycles);
-  EXPECT_EQ(scan.outcome.intervals_completed, heap.outcome.intervals_completed);
-  EXPECT_EQ(scan.outcome.instructions_retired,
-            heap.outcome.instructions_retired);
-  ASSERT_EQ(scan.counters.size(), heap.counters.size());
-  for (std::size_t t = 0; t < scan.counters.size(); ++t) {
-    const cpu::CounterBlock& a = scan.counters[t];
-    const cpu::CounterBlock& b = heap.counters[t];
-    EXPECT_EQ(a.instructions, b.instructions) << "thread " << t;
-    EXPECT_EQ(a.exec_cycles, b.exec_cycles) << "thread " << t;
-    EXPECT_EQ(a.stall_cycles, b.stall_cycles) << "thread " << t;
-    EXPECT_EQ(a.l1_accesses, b.l1_accesses) << "thread " << t;
-    EXPECT_EQ(a.l1_misses, b.l1_misses) << "thread " << t;
-    EXPECT_EQ(a.l2_accesses, b.l2_accesses) << "thread " << t;
-    EXPECT_EQ(a.l2_hits, b.l2_hits) << "thread " << t;
-    EXPECT_EQ(a.l2_misses, b.l2_misses) << "thread " << t;
+/// The uneven run the driver's schedule is pinned on: alternating fast
+/// compute-bound and slow memory-bound threads (so clock ties and barrier
+/// stalls both occur) in two barrier groups, with interval-callback
+/// overhead. `share_fraction` of each thread's accesses go to data all
+/// threads share.
+std::unique_ptr<Driver> uneven_driver(CmpSystem& sys, ThreadId n,
+                                      IntervalCallback callback,
+                                      double share_fraction = 0.0) {
+  Sources gens;
+  std::vector<std::uint32_t> groups;
+  for (ThreadId t = 0; t < n; ++t) {
+    gens.push_back(t % 2 == 0 ? generator(t, 0.05, 64, share_fraction)
+                              : generator(t, 0.5, 2'048, share_fraction));
+    groups.push_back(t < n / 2 ? 0 : 1);
   }
+  DriverConfig dc;
+  dc.interval_instructions = Instructions{2'500} * n;
+  dc.barrier_group = groups;
+  auto driver = std::make_unique<Driver>(
+      sys, make_uniform_program(n, 6, 15'000), std::move(gens), dc);
+  driver->set_interval_callback(std::move(callback));
+  return driver;
+}
+
+// The schedule is pinned, not just self-consistent: the outcome and every
+// thread's counters of the uneven 8-thread run (plus one migration), and
+// the total cycles of a plain 2-thread run, equal the values recorded when
+// a linear scan and a binary heap both picked the threads (and agreed).
+TEST(Driver, UnevenScheduleMatchesPinnedCounters) {
+  CmpSystem sys(config(8));
+  const std::unique_ptr<Driver> driver =
+      uneven_driver(sys, 8, [](std::uint64_t) -> Cycles { return 250; });
+  driver->schedule_migration(2, 0, 1);
+  const RunOutcome out = driver->run();
+  EXPECT_EQ(out.total_cycles, 834'082u);
+  EXPECT_EQ(out.intervals_completed, 6u);
+  EXPECT_EQ(out.instructions_retired, 120'000u);
+  // instructions, exec, stall, l1 accesses, l1 misses, l2 accesses, l2
+  // hits, l2 misses.
+  const std::uint64_t pinned[8][8] = {
+      {15'000, 65'602, 766'192, 764, 411, 411, 116, 295},
+      {15'000, 814'174, 17'620, 7'472, 5'435, 5'435, 507, 4'928},
+      {15'000, 57'602, 774'192, 732, 378, 378, 126, 252},
+      {15'000, 818'886, 12'908, 7'517, 5'545, 5'545, 553, 4'992},
+      {15'000, 60'594, 773'488, 718, 368, 368, 102, 266},
+      {15'000, 814'522, 19'560, 7'517, 5'475, 5'475, 546, 4'929},
+      {15'000, 61'606, 772'476, 770, 389, 389, 113, 276},
+      {15'000, 826'290, 7'792, 7'552, 5'526, 5'526, 530, 4'996},
+  };
+  for (ThreadId t = 0; t < 8; ++t) {
+    const cpu::CounterBlock& c = sys.counters().thread(t);
+    const std::uint64_t got[8] = {c.instructions, c.exec_cycles,
+                                  c.stall_cycles, c.l1_accesses,
+                                  c.l1_misses,    c.l2_accesses,
+                                  c.l2_hits,      c.l2_misses};
+    for (int field = 0; field < 8; ++field) {
+      EXPECT_EQ(got[field], pinned[t][field])
+          << "thread " << t << " field " << field;
+    }
+  }
+
+  CmpSystem pair_sys(config(2));
+  Sources gens;
+  gens.push_back(generator(0, 0.3));
+  gens.push_back(generator(1, 0.4));
+  Driver pair(pair_sys, make_uniform_program(2, 3, 8'000), std::move(gens),
+              {});
+  EXPECT_EQ(pair.run().total_cycles, 49'620u);
+}
+
+// The 8-thread run above shares no data, so the order in which threads
+// reach the L2 barely moves its counters: it misses a scheduler that picks
+// a thread one cycle late. Here 33 threads (the tree's 64 leaves are mostly
+// padding) share half their data through one LRU-managed L2, and the
+// totals recorded at the same point must hold.
+TEST(Driver, SharedDataRunAtThirtyThreeThreadsMatchesPinnedTotals) {
+  SystemConfig c = config(33);
+  c.l2 = {.sets = 16, .ways = 8, .line_bytes = 64};
+  c.l2_mode = mem::L2Mode::kSharedUnpartitioned;
+  CmpSystem sys(c);
+  const RunOutcome out =
+      uneven_driver(sys, 33, [](std::uint64_t) -> Cycles { return 250; }, 0.5)
+          ->run();
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+  Cycles stall = 0;
+  for (ThreadId t = 0; t < 33; ++t) {
+    hits += sys.counters().thread(t).l2_hits;
+    misses += sys.counters().thread(t).l2_misses;
+    stall += sys.counters().thread(t).stall_cycles;
+  }
+  EXPECT_EQ(out.total_cycles, 1'169'294u);
+  EXPECT_EQ(hits, 9'789u);
+  EXPECT_EQ(misses, 108'718u);
+  EXPECT_EQ(stall, 18'372'804u);
 }
 
 // The sliced run loop PreparedExperiment drives: each advance_interval()
 // that returns true has fired exactly one more interval boundary, and the
-// sliced run ends where the monolithic run() does, under both schedulers.
+// sliced run ends where the monolithic run() does — at one thread, at
+// eight, and at 33 (one past a power of two, so the scheduler's tree has
+// idle padding leaves).
 TEST(Driver, EachAdvanceFiresExactlyOneBoundary) {
-  for (const SchedulerKind scheduler :
-       {SchedulerKind::kScan, SchedulerKind::kHeap}) {
-    const auto make = [scheduler](CmpSystem& sys,
-                                  std::vector<std::uint64_t>& fired) {
-      const ThreadId n = 8;
-      Sources gens;
-      for (ThreadId t = 0; t < n; ++t) {
-        gens.push_back(t % 2 == 0 ? generator(t, 0.05)
-                                  : generator(t, 0.5, 2'048));
-      }
-      DriverConfig dc;
-      dc.interval_instructions = 20'000;
-      dc.scheduler = scheduler;
-      dc.barrier_group = {0, 0, 0, 0, 1, 1, 1, 1};
-      auto driver = std::make_unique<Driver>(
-          sys, make_uniform_program(n, 6, 15'000), std::move(gens), dc);
-      driver->set_interval_callback([&fired](std::uint64_t index) -> Cycles {
+  for (const ThreadId n : {ThreadId{1}, ThreadId{8}, ThreadId{33}}) {
+    SCOPED_TRACE(::testing::Message() << n << " threads");
+    const auto recorder = [](std::vector<std::uint64_t>& fired) {
+      return [&fired](std::uint64_t index) -> Cycles {
         fired.push_back(index);
         return 250;
-      });
-      return driver;
+      };
     };
-    const char* what =
-        scheduler == SchedulerKind::kScan ? "scan" : "heap";
-
-    CmpSystem whole_sys(config(8));
+    CmpSystem whole_sys(config(n));
     std::vector<std::uint64_t> whole_fired;
-    const RunOutcome whole = make(whole_sys, whole_fired)->run();
+    const RunOutcome whole =
+        uneven_driver(whole_sys, n, recorder(whole_fired))->run();
+    EXPECT_EQ(whole.intervals_completed, 6u);
 
-    CmpSystem sliced_sys(config(8));
+    CmpSystem sliced_sys(config(n));
     std::vector<std::uint64_t> sliced_fired;
-    const std::unique_ptr<Driver> sliced = make(sliced_sys, sliced_fired);
+    const std::unique_ptr<Driver> sliced =
+        uneven_driver(sliced_sys, n, recorder(sliced_fired));
     sliced->begin();
     std::uint64_t advances = 0;
     while (sliced->advance_interval()) {
       ++advances;
-      ASSERT_EQ(sliced_fired.size(), advances) << what;
-      EXPECT_EQ(sliced_fired.back(), advances - 1) << what;
+      ASSERT_EQ(sliced_fired.size(), advances);
+      EXPECT_EQ(sliced_fired.back(), advances - 1);
     }
     const RunOutcome out = sliced->finalize();
 
-    EXPECT_EQ(sliced_fired, whole_fired) << what;
-    EXPECT_EQ(advances, whole.intervals_completed) << what;
-    EXPECT_EQ(out.total_cycles, whole.total_cycles) << what;
-    EXPECT_EQ(out.intervals_completed, whole.intervals_completed) << what;
-    EXPECT_EQ(out.instructions_retired, whole.instructions_retired) << what;
-    for (ThreadId t = 0; t < 8; ++t) {
+    EXPECT_EQ(sliced_fired, whole_fired);
+    EXPECT_EQ(advances, whole.intervals_completed);
+    EXPECT_EQ(out.total_cycles, whole.total_cycles);
+    EXPECT_EQ(out.intervals_completed, whole.intervals_completed);
+    EXPECT_EQ(out.instructions_retired, whole.instructions_retired);
+    for (ThreadId t = 0; t < n; ++t) {
       EXPECT_EQ(sliced_sys.counters().thread(t).exec_cycles,
                 whole_sys.counters().thread(t).exec_cycles)
-          << what << " thread " << t;
+          << "thread " << t;
       EXPECT_EQ(sliced_sys.counters().thread(t).l2_misses,
                 whole_sys.counters().thread(t).l2_misses)
-          << what << " thread " << t;
+          << "thread " << t;
     }
   }
-}
-
-TEST(Driver, AutoSchedulerMatchesScanAtSmallThreadCounts) {
-  // kAuto stays on the scan for <= 4 threads and must equal an explicit
-  // kHeap run regardless (the dispatch is outcome-invariant either way).
-  const auto total = [](SchedulerKind scheduler) {
-    CmpSystem sys(config(2));
-    Sources gens;
-    gens.push_back(generator(0, 0.3));
-    gens.push_back(generator(1, 0.4));
-    DriverConfig dc;
-    dc.scheduler = scheduler;
-    Driver driver(sys, make_uniform_program(2, 3, 8'000), std::move(gens),
-                  dc);
-    return driver.run().total_cycles;
-  };
-  const Cycles auto_cycles = total(SchedulerKind::kAuto);
-  EXPECT_EQ(auto_cycles, total(SchedulerKind::kScan));
-  EXPECT_EQ(auto_cycles, total(SchedulerKind::kHeap));
 }
 
 TEST(Driver, RejectsMismatchedConfiguration) {

@@ -208,6 +208,23 @@ TEST(Experiment, RejectsDegenerateConfigs) {
   EXPECT_CONFIG_ERROR(run_experiment(c2), ">= 1 interval");
 }
 
+// The total instruction budget is intervals x interval length; a product
+// past 64 bits once wrapped and ran a few instructions (or none) as if
+// nothing were wrong.
+TEST(Experiment, InstructionBudgetsPastSixtyFourBitsAreRejected) {
+  ExperimentConfig c = small("cg");
+  c.num_intervals = 2;  // --intervals=2 --interval-instr=2^63
+  c.interval_instructions = Instructions{1} << 63;
+  EXPECT_CONFIG_ERROR(run_experiment(c), "overflow a 64-bit count");
+  c.num_intervals = 4;  // wrapped to 4 instructions
+  c.interval_instructions = (Instructions{1} << 62) + 1;
+  EXPECT_CONFIG_ERROR(run_experiment(c), "overflow a 64-bit count");
+  // The largest budget that fits passes validation.
+  c.num_intervals = 3;
+  c.interval_instructions = ~Instructions{0} / 3;
+  EXPECT_NO_THROW(c.validate());
+}
+
 // Each configuration below is a capart_sim command line whose caches cannot
 // be built; validation must reject it recoverably, before construction.
 

@@ -1,9 +1,10 @@
 // Golden digests: the byte-identity contract as a committed test. Every
 // fig 19-21 arm (the nine profiles x model, static_equal, shared and
 // throughput) plus cg under tree-PLRU, SRRIP, flush-reconfiguration, page
-// coloring, private slices and CLOS masks on a 4-bank L2 at 8 threads runs
-// at reduced length, and the FNV-1a64 digest of each interval record (and
-// of the run's shared-cache statistics) must equal the one committed in
+// coloring, private slices, and CLOS masks on a 4-bank L2 at 8 threads and
+// on an 8-bank L2 at 32 (UMON) and 64 threads runs at reduced length, and
+// the FNV-1a64 digest of each interval record (and of the run's
+// shared-cache statistics) must equal the one committed in
 // tests/golden/digests.json. Each arm is recomputed twice: on the default
 // streamed path, and from a cold spool in a fresh directory. A mismatch
 // names the arm and its first differing interval.
@@ -91,6 +92,19 @@ std::vector<Arm> golden_arms() {
   clos.interval_instructions = 160'000;
   clos.l2_banks = 4;
   clos.l2_enforce = mem::L2Enforce::kClosWayMask;
+  // The driver's many-thread schedule: capart_bench's clos_32t umon arm
+  // (8 banks, nearest mapper), shortened, and CI's 64-thread CLOS smoke
+  // setting (minmax mapper) on 8 banks. Listed ahead of the 8-thread arm,
+  // which stays the last entry of the committed file.
+  bench::BenchOptions clos32 = clos;
+  clos32.threads = 32;
+  clos32.interval_instructions = 192'000;
+  clos32.l2_banks = 8;
+  arms.push_back({"cg/umon@clos-8banks-32t", cg(clos32, "umon")});
+  bench::BenchOptions clos64 = clos32;
+  clos64.threads = 64;
+  clos64.clos_mapper = core::ClosMapperKind::kMinMax;
+  arms.push_back({"cg/model@clos-8banks-64t", cg(clos64, "model")});
   arms.push_back({"cg/model@clos-4banks-8t", cg(clos, "model")});
   return arms;
 }

@@ -438,7 +438,15 @@ TEST(ServeEndToEnd, InvalidSpecsGet400WithThePath) {
   EXPECT_NE(bad_coloring.find("--l2-ways to divide --l2-sets"),
             std::string::npos);
 
-  // The connection survived all four rejections (keep-alive).
+  // An instruction budget past 64 bits once wrapped, ran and was cached.
+  ASSERT_TRUE(client.send_request(post_run(
+      "{\"config\":{\"intervals\":2,"
+      "\"interval_instructions\":9223372036854775808}}")));
+  const std::string bad_budget = client.read_response();
+  EXPECT_NE(bad_budget.find("400 Bad Request"), std::string::npos);
+  EXPECT_NE(bad_budget.find("overflow a 64-bit count"), std::string::npos);
+
+  // The connection survived all five rejections (keep-alive).
   ASSERT_TRUE(client.send_request("GET /healthz HTTP/1.1\r\n\r\n"));
   EXPECT_NE(client.read_response().find("200 OK"), std::string::npos);
   server.shutdown();
