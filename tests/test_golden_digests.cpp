@@ -5,9 +5,12 @@
 // on an 8-bank L2 at 32 (UMON) and 64 threads runs at reduced length, and
 // the FNV-1a64 digest of each interval record (and of the run's
 // shared-cache statistics) must equal the one committed in
-// tests/golden/digests.json. Each arm is recomputed twice: on the default
-// streamed path, and from a cold spool in a fresh directory. A mismatch
-// names the arm and its first differing interval.
+// tests/golden/digests.json. Each arm is recomputed on every execution
+// path: the default streamed path, the same path with every chunk resolved
+// inline (what a single-CPU host runs), from a cold spool in a fresh
+// directory, and unresolved (caller-supplied generators whose private
+// caches the driver simulates, as migration runs and capart_bench's traced
+// sweeps do). A mismatch names the arm and its first differing interval.
 //
 // Results are meant to move only deliberately. Regenerate then, and say
 // why in CHANGES.md, with:
@@ -27,9 +30,12 @@
 #include <unistd.h>
 
 #include "bench/bench_common.hpp"
+#include "src/common/rng.hpp"
 #include "src/obs/json.hpp"
 #include "src/sim/experiment.hpp"
+#include "src/sim/streamed_resolve.hpp"
 #include "src/trace/benchmarks.hpp"
+#include "src/trace/phase.hpp"
 
 namespace capart {
 namespace {
@@ -221,24 +227,67 @@ TEST(GoldenDigests, StreamedPath) {
   }
 }
 
-TEST(GoldenDigests, ColdSpool) {
+/// Every pinned arm through `run`, checked against the committed digests
+/// under the name `path`.
+template <class Run>
+void expect_path_matches_golden(const char* path, Run&& run) {
   if (std::getenv("CAPART_REGEN_GOLDEN") != nullptr) {
     GTEST_SKIP() << "regeneration uses the streamed path";
   }
   const obs::JsonValue golden = read_golden();
+  for (const Arm& arm : golden_arms()) {
+    expect_matches_golden(golden, arm, digests_of(run(arm.config)), path);
+  }
+}
+
+/// Streamed runs started while one is alive resolve every chunk on the
+/// driver's thread, with no ring and no helper.
+struct InlineResolveOnly {
+  InlineResolveOnly() { sim::force_inline_resolve_for_testing(true); }
+  ~InlineResolveOnly() { sim::force_inline_resolve_for_testing(false); }
+};
+
+TEST(GoldenDigests, InlineOnlyStreamedPath) {
+  const InlineResolveOnly inline_only;
+  expect_path_matches_golden("inline-only streamed",
+                             [](const sim::ExperimentConfig& config) {
+                               return sim::run_experiment(config);
+                             });
+}
+
+TEST(GoldenDigests, UnresolvedPath) {
+  expect_path_matches_golden(
+      "unresolved", [](const sim::ExperimentConfig& config) {
+        const trace::BenchmarkProfile profile =
+            trace::make_profile(config.profile, config.num_threads);
+        const Rng root(config.seed);
+        std::vector<std::unique_ptr<trace::OpSource>> generators;
+        for (ThreadId t = 0; t < config.num_threads; ++t) {
+          generators.push_back(std::make_unique<trace::PhasedGenerator>(
+              trace::PhaseSchedule(profile.threads[t].phases), root.fork(t),
+              sim::private_region_base(t), sim::shared_region_base()));
+        }
+        sim::PreparedExperiment prepared(config, std::move(generators));
+        while (prepared.advance_interval()) {
+        }
+        return prepared.finalize();
+      });
+}
+
+TEST(GoldenDigests, ColdSpool) {
   static std::atomic<unsigned> serial{0};
-  for (Arm& arm : golden_arms()) {
+  expect_path_matches_golden("cold spool", [](sim::ExperimentConfig config) {
     // A directory of its own per arm, so every arm resolves a cold spool.
     const std::string dir = ::testing::TempDir() + "/golden_spool." +
                             std::to_string(::getpid()) + "." +
                             std::to_string(serial++);
     std::filesystem::remove_all(dir);
     std::filesystem::create_directories(dir);
-    arm.config.trace_spool_dir = dir;
-    const ArmDigests got = digests_of(sim::run_experiment(arm.config));
+    config.trace_spool_dir = dir;
+    sim::ExperimentResult result = sim::run_experiment(config);
     std::filesystem::remove_all(dir);
-    expect_matches_golden(golden, arm, got, "cold spool");
-  }
+    return result;
+  });
 }
 
 }  // namespace

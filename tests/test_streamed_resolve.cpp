@@ -14,7 +14,6 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <cstdio>
 #include <filesystem>
 #include <optional>
 #include <random>
@@ -151,11 +150,11 @@ ExperimentConfig small(const std::string& profile, std::uint64_t seed) {
 }
 
 TEST(StreamedResolve, MatchesUnresolvedAndSpooledAcrossTheMatrix) {
-  const std::uint64_t base_seed = std::random_device{}();
-  std::printf("streamed resolve differential base_seed=%llu\n",
-              static_cast<unsigned long long>(base_seed));
+  // A fixed base seed: every run draws the same per-arm seeds, so a failure
+  // (its message names the arm's seed) reproduces on a rerun.
+  constexpr std::uint64_t kBaseSeed = 0x5eed'c0de'2010;
   const std::string dir = fresh_dir("capart_streamed_matrix");
-  std::mt19937_64 mix(base_seed);
+  std::mt19937_64 mix(kBaseSeed);
   // ucp reads the shadow-tag utility monitor, which observes every shared
   // access the replayed streams make.
   for (const char* policy : {"model-based", "ucp"}) {
