@@ -123,8 +123,8 @@ void BM_ReplacementMissGlobal(benchmark::State& state) {
 }
 BENCHMARK(BM_ReplacementMissGlobal)->Apply(repl_arg_name);
 
-// The two tag lookups head to head, outside any cache: the vectorized scan
-// over a set's tag array (simd::find_tag) and the block->way hash index
+// The two tag lookups head to head, outside any cache: the linear scan over
+// a set's tag array (simd::find_tag) and the block->way hash index
 // (BlockWayIndex::lookup). Args: {ways, lookup} with lookup 0 = scan,
 // 1 = index, over 256 full sets. The hit path finds resident blocks; the
 // miss path proves a block absent and then replaces a line, which the index

@@ -30,7 +30,7 @@
 namespace capart::mem {
 
 /// Whether a structure of `ways` ways finds its resident lines through a
-/// BlockWayIndex rather than the vectorized tag scan of simd.hpp. The scan
+/// BlockWayIndex rather than the tag scan of simd.hpp. The scan
 /// wins at small associativities (the L1s and private-L2 slices) and loses
 /// to the index from about 16 ways up (the crossover bench/micro_cache
 /// measures with BM_IndexHit and BM_IndexMissEvictionControl); the paper's

@@ -208,9 +208,9 @@ std::uint32_t CacheCore::find_way(std::uint32_t set, std::uint64_t block,
   const std::size_t base =
       static_cast<std::size_t>(set) * geometry_.ways;
   // Pure contiguous tag compare: empty ways hold kInvalidTag, which no real
-  // block can equal, so validity needs no separate check and the probe
-  // vectorizes. The probes telemetry keeps the scalar scan's semantics
-  // (ways examined up to and including the hit, all of them on a miss).
+  // block can equal, so validity needs no separate check. The probes
+  // telemetry counts the ways examined up to and including the hit, all of
+  // them on a miss.
   const std::uint32_t w =
       simd::find_tag(&tags_[base], geometry_.ways, block);
   if (w < geometry_.ways) {

@@ -13,7 +13,7 @@
 //     CAT-style way masks.
 //
 // Tag lookup — finding the resident way of a block — is mechanical: a
-// vectorized scan over the ways at small associativities, the incremental
+// linear scan over the ways at small associativities, the incremental
 // block->way hash index of block_index.hpp from 16 ways up
 // (use_block_index). It never affects which line hits or which way is
 // victimized, only the cost of finding out. tests/reference_cache.hpp
@@ -22,8 +22,8 @@
 //
 // Line metadata is struct-of-arrays with validity folded into the tag array
 // (kInvalidTag marks an empty way — see replacement.hpp), so the scan probe
-// reads one contiguous run of 64-bit tags per set and dispatches to the
-// vectorized compare of simd.hpp; the separate per-line arrays (dirty,
+// reads one contiguous run of 64-bit tags per set (simd::find_tag, the
+// first-match loop of simd.hpp); the separate per-line arrays (dirty,
 // owner, last accessor) are only touched on the outcome paths that need
 // them.
 #pragma once

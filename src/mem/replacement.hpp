@@ -35,7 +35,7 @@ namespace capart::mem {
 /// folded into the tag array itself — a way is valid iff its tag differs from
 /// kInvalidTag — so the hit probe is a pure contiguous 64-bit compare loop
 /// (one cache line of tags for 8 ways) with no second validity array to
-/// stride through, and it vectorizes directly (see simd.hpp). No real block
+/// stride through (see simd.hpp). No real block
 /// can collide: block numbers are addresses divided by the line size, and
 /// the address space tops out far below 2^64 (the shared region base is
 /// 2^52; cache_core DCHECKs the invariant on every access).

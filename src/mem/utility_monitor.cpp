@@ -67,9 +67,9 @@ void UtilityMonitor::observe(ThreadId thread, Addr addr) {
   std::uint64_t* tags = &shadow_tags_[thread][base];
   LruStack& order = shadow_order_[thread];
 
-  // Tag lookup: the block->way index, or the vectorized contiguous probe
-  // over the sentinel-tagged array. Bit-identical — a set holds at most one
-  // copy of a block either way.
+  // Tag lookup: the block->way index, or the contiguous probe over the
+  // sentinel-tagged array. Bit-identical — a set holds at most one copy of
+  // a block either way.
   BlockWayIndex* index =
       shadow_index_.empty() ? nullptr : shadow_index_[thread].get();
   std::uint32_t found;

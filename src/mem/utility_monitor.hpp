@@ -81,7 +81,7 @@ class UtilityMonitor {
   std::uint32_t sampled_sets_;
   // Per thread: shadow tags (sampled_sets x ways; kInvalidTag marks an empty
   // way, same sentinel layout as the cache core, so the probe is the
-  // vectorized contiguous compare of simd.hpp) plus a compact recency
+  // contiguous compare of simd.hpp) plus a compact recency
   // permutation — the directory is LRU by definition, whatever policy the
   // monitored cache runs, so the hit's stack depth is an O(1) position
   // lookup — and interval counters.
