@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
 
 #include "src/common/check.hpp"
 
@@ -28,37 +27,6 @@ bool parse_replacement(std::string_view name, ReplacementKind& out) noexcept {
     return false;
   }
   return true;
-}
-
-LruStack::LruStack(std::uint32_t sets, std::uint32_t ways) : ways_(ways) {
-  CAPART_CHECK(sets > 0 && ways > 0, "LRU stack needs sets and ways");
-  CAPART_CHECK(ways <= 65535, "LRU stack supports at most 65535 ways");
-  order_.resize(static_cast<std::size_t>(sets) * ways_);
-  pos_.resize(order_.size());
-  reset();
-}
-
-void LruStack::reset() {
-  const std::size_t sets = order_.size() / ways_;
-  for (std::size_t s = 0; s < sets; ++s) {
-    std::uint16_t* order = &order_[s * ways_];
-    std::uint16_t* pos = &pos_[s * ways_];
-    for (std::uint32_t w = 0; w < ways_; ++w) {
-      order[w] = static_cast<std::uint16_t>(w);
-      pos[w] = static_cast<std::uint16_t>(w);
-    }
-  }
-}
-
-void LruStack::touch(std::uint32_t set, std::uint32_t way) {
-  std::uint16_t* order = &order_[static_cast<std::size_t>(set) * ways_];
-  std::uint16_t* pos = &pos_[static_cast<std::size_t>(set) * ways_];
-  const std::uint32_t p = pos[way];
-  if (p == 0) return;  // already MRU
-  // Shift the more-recent ways down one slot and put `way` in front.
-  std::memmove(order + 1, order, p * sizeof(std::uint16_t));
-  order[0] = static_cast<std::uint16_t>(way);
-  for (std::uint32_t d = 0; d <= p; ++d) pos[order[d]] = static_cast<std::uint16_t>(d);
 }
 
 LruList::LruList(std::uint32_t sets, std::uint32_t ways) : ways_(ways) {

@@ -16,7 +16,7 @@
 // for PLRU and SRRIP it is the natural constrained generalization used by
 // way-partitioning hardware (mask the tree walk / the RRPV scan).
 //
-// Metadata is compact and per-set — a recency permutation (LRU), a node-bit
+// Metadata is compact and per-set — a linked recency list (LRU), a node-bit
 // vector (PLRU), 2-bit RRPVs (SRRIP) — instead of the former per-line 64-bit
 // stamps, which forced a full 64-stamp rescan on every miss.
 #pragma once
@@ -61,59 +61,12 @@ inline constexpr ReplacementKind kAllReplacementKinds[] = {
     ReplacementKind::kSrrip,
 };
 
-/// Compact per-set recency order: for each set, the ways listed MRU -> LRU,
-/// plus the inverse permutation for O(1) position lookup. This is the shared
-/// true-LRU metadata of the cache core's LRU policy and the shadow-tag
-/// utility monitor (whose auxiliary directory is LRU by definition,
-/// whatever the main cache runs).
-class LruStack {
- public:
-  LruStack(std::uint32_t sets, std::uint32_t ways);
-
-  /// Moves `way` to the MRU position of `set`.
-  void touch(std::uint32_t set, std::uint32_t way);
-
-  /// Recency position of `way` in `set`: 0 = MRU, ways-1 = LRU.
-  std::uint32_t depth_of(std::uint32_t set, std::uint32_t way) const noexcept {
-    return pos_[static_cast<std::size_t>(set) * ways_ + way];
-  }
-
-  /// The way at recency position `depth` of `set` (0 = MRU).
-  std::uint32_t way_at(std::uint32_t set, std::uint32_t depth) const noexcept {
-    return order_[static_cast<std::size_t>(set) * ways_ + depth];
-  }
-
-  /// Scans from the LRU end toward MRU and returns the first way satisfying
-  /// `pred`, or `ways()` when none does.
-  template <class Pred>
-  std::uint32_t find_from_lru(std::uint32_t set, Pred&& pred) const {
-    const std::uint16_t* order = &order_[static_cast<std::size_t>(set) * ways_];
-    for (std::uint32_t d = ways_; d-- > 0;) {
-      const std::uint32_t way = order[d];
-      if (pred(way)) return way;
-    }
-    return ways_;
-  }
-
-  /// Restores the initial identity order in every set.
-  void reset();
-
-  std::uint32_t ways() const noexcept { return ways_; }
-
- private:
-  std::uint32_t ways_;
-  std::vector<std::uint16_t> order_;  // sets x ways, MRU first
-  std::vector<std::uint16_t> pos_;    // sets x ways, way -> position
-};
-
-/// The same per-set true-LRU recency order as LruStack, stored as an
-/// intrusive doubly-linked list instead of a permutation: move-to-front —
-/// the operation every single access performs — is O(1) link surgery rather
-/// than an O(depth) rotate of the order array, which was the hottest loop
-/// left in the cache core once the block->way index removed the tag scan.
-/// The victim search walks from the LRU end exactly as LruStack's does, so
-/// victim choice is bit-identical. LruStack remains for consumers that need
-/// O(1) depth_of / way_at (the UMON shadow directory's stack-depth query).
+/// Per-set true-LRU recency order, stored as an intrusive doubly-linked list
+/// of the ways: move-to-front — the operation every single access performs —
+/// is O(1) link surgery. It is the recency order of the cache core's LRU
+/// policy and of the shadow-tag utility monitor (whose auxiliary directory
+/// is LRU by definition, whatever the main cache runs); the monitor also
+/// asks how deep in the order a hit landed (depth_of).
 class LruList {
  public:
   LruList(std::uint32_t sets, std::uint32_t ways);
@@ -156,8 +109,16 @@ class LruList {
     return tail_[set];
   }
 
-  /// Restores the initial identity order (way 0 MRU ... way ways-1 LRU) in
-  /// every set — the same order LruStack::reset produces.
+  /// Recency position of `way` in `set`: 0 = MRU, ways-1 = LRU. Walks from
+  /// the MRU end, so it costs one step per more recent way.
+  std::uint32_t depth_of(std::uint32_t set, std::uint32_t way) const noexcept {
+    const std::uint16_t* next = &next_[static_cast<std::size_t>(set) * ways_];
+    std::uint32_t depth = 0;
+    for (std::uint32_t w = head_[set]; w != way; w = next[w]) ++depth;
+    return depth;
+  }
+
+  /// Restores the initial order (way 0 MRU ... way ways-1 LRU) in every set.
   void reset();
 
   std::uint32_t ways() const noexcept { return ways_; }

@@ -65,7 +65,7 @@ void UtilityMonitor::observe(ThreadId thread, Addr addr) {
   const std::size_t base =
       static_cast<std::size_t>(shadow_set) * geometry_.ways;
   std::uint64_t* tags = &shadow_tags_[thread][base];
-  LruStack& order = shadow_order_[thread];
+  LruList& order = shadow_order_[thread];
 
   // Tag lookup: the block->way index, or the contiguous probe over the
   // sentinel-tagged array. Bit-identical — a set holds at most one copy of
@@ -87,15 +87,15 @@ void UtilityMonitor::observe(ThreadId thread, Addr addr) {
   ++misses_[thread];
   // Victim: shadow lines are never invalidated and fills always take the
   // first invalid way, so the per-set fill count is exactly the first
-  // invalid way; past that, the LRU way (all valid then, so the bottom of
-  // the recency order).
+  // invalid way; past that, the LRU way (all valid then, so the tail of the
+  // recency list).
   std::uint16_t& filled = shadow_fill_[thread][shadow_set];
   std::uint32_t victim;
   if (filled < geometry_.ways) {
     victim = filled;
     ++filled;
   } else {
-    victim = order.way_at(shadow_set, geometry_.ways - 1);
+    victim = order.lru_way(shadow_set);
     if (index != nullptr) index->erase(shadow_set, tags[victim]);
   }
   tags[victim] = block;

@@ -81,12 +81,12 @@ class UtilityMonitor {
   std::uint32_t sampled_sets_;
   // Per thread: shadow tags (sampled_sets x ways; kInvalidTag marks an empty
   // way, same sentinel layout as the cache core, so the probe is the
-  // contiguous compare of simd.hpp) plus a compact recency
-  // permutation — the directory is LRU by definition, whatever policy the
-  // monitored cache runs, so the hit's stack depth is an O(1) position
-  // lookup — and interval counters.
+  // contiguous compare of simd.hpp) plus the recency list the cache core's
+  // LRU policy keeps — the directory is LRU by definition, whatever policy
+  // the monitored cache runs; a hit's stack depth is its distance from the
+  // list's MRU end — and interval counters.
   std::vector<std::vector<std::uint64_t>> shadow_tags_;
-  std::vector<LruStack> shadow_order_;
+  std::vector<LruList> shadow_order_;
   /// Per-thread block->way index over the shadow directory (empty unless
   /// use_block_index(ways)); shadow lines are never invalidated, so entries
   /// are only ever replaced.

@@ -1,5 +1,6 @@
-// Replacement-policy tests for the unified cache core: the LruStack recency
-// permutation, policy-specific victim behavior, and the cross-policy
+// Replacement-policy tests for the unified cache core: the LruList recency
+// order (touch, depth, LRU end, constrained walk), policy-specific victim
+// behavior, and the cross-policy
 // contracts the partitioning mechanism relies on — under eviction control
 // every policy must converge ownership to the targets, and target validation
 // must reject malformed inputs identically no matter which policy runs the
@@ -8,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -30,26 +32,70 @@ TEST(ReplacementKindTest, NamesRoundTrip) {
   EXPECT_FALSE(parse_replacement("", out));
 }
 
-TEST(LruStackTest, TouchMovesToMruAndDepthTracks) {
-  LruStack stack(1, 4);
+TEST(LruListTest, TouchMovesToMruAndDepthTracks) {
+  LruList list(1, 4);
   // Initial order is by way index: way 0 is MRU, way 3 is LRU.
-  EXPECT_EQ(stack.way_at(0, 3), 3u);
-  stack.touch(0, 3);
-  EXPECT_EQ(stack.depth_of(0, 3), 0u);
-  EXPECT_EQ(stack.depth_of(0, 0), 1u);
-  EXPECT_EQ(stack.way_at(0, 3), 2u);  // way 2 is now LRU
-  stack.touch(0, 1);
-  EXPECT_EQ(stack.depth_of(0, 1), 0u);
-  EXPECT_EQ(stack.depth_of(0, 3), 1u);
+  for (std::uint32_t w = 0; w < 4; ++w) EXPECT_EQ(list.depth_of(0, w), w);
+  EXPECT_EQ(list.lru_way(0), 3u);
+  list.touch(0, 3);
+  EXPECT_EQ(list.depth_of(0, 3), 0u);
+  EXPECT_EQ(list.depth_of(0, 0), 1u);
+  EXPECT_EQ(list.lru_way(0), 2u);  // way 2 is now LRU
+  EXPECT_EQ(list.depth_of(0, 2), 3u);
+  list.touch(0, 1);
+  EXPECT_EQ(list.depth_of(0, 1), 0u);
+  EXPECT_EQ(list.depth_of(0, 3), 1u);
+  list.touch(0, 1);  // already MRU: nothing moves
+  EXPECT_EQ(list.depth_of(0, 1), 0u);
+  EXPECT_EQ(list.lru_way(0), 2u);
 }
 
-TEST(LruStackTest, FindFromLruScansInRecencyOrder) {
-  LruStack stack(1, 4);
-  stack.touch(0, 2);  // recency MRU->LRU: 2 0 1 3
+TEST(LruListTest, FindFromLruScansInRecencyOrder) {
+  LruList list(1, 4);
+  list.touch(0, 2);  // recency MRU->LRU: 2 0 1 3
   const auto only_odd = [](std::uint32_t way) { return way % 2 == 1; };
-  EXPECT_EQ(stack.find_from_lru(0, only_odd), 3u);
+  EXPECT_EQ(list.find_from_lru(0, only_odd), 3u);
   const auto only_two = [](std::uint32_t way) { return way == 2; };
-  EXPECT_EQ(stack.find_from_lru(0, only_two), 2u);
+  EXPECT_EQ(list.find_from_lru(0, only_two), 2u);
+  const auto below_two = [](std::uint32_t way) { return way < 2; };
+  EXPECT_EQ(list.find_from_lru(0, below_two), 1u);
+  const auto none = [](std::uint32_t) { return false; };
+  EXPECT_EQ(list.find_from_lru(0, none), list.ways());
+}
+
+TEST(LruListTest, MatchesARecencyVectorUnderRandomTouches) {
+  // 64 ways, the shared L2's and its shadow directories' associativity: a
+  // plain MRU-first vector of ways is the model. Sets are independent, and
+  // reset restores the initial order.
+  constexpr std::uint32_t kSets = 3;
+  constexpr std::uint32_t kWays = 64;
+  LruList list(kSets, kWays);
+  std::vector<std::vector<std::uint32_t>> model(kSets);
+  for (auto& order : model) {
+    for (std::uint32_t w = 0; w < kWays; ++w) order.push_back(w);
+  }
+  Rng rng(2010);
+  for (int i = 0; i < 20'000; ++i) {
+    const auto set = static_cast<std::uint32_t>(rng.below(kSets));
+    const auto way = static_cast<std::uint32_t>(rng.below(kWays));
+    std::vector<std::uint32_t>& order = model[set];
+    const auto pos = std::find(order.begin(), order.end(), way);
+    ASSERT_EQ(list.depth_of(set, way),
+              static_cast<std::uint32_t>(pos - order.begin()))
+        << "touch " << i;
+    order.erase(pos);
+    order.insert(order.begin(), way);
+    list.touch(set, way);
+    ASSERT_EQ(list.lru_way(set), order.back()) << "touch " << i;
+    const auto even = [](std::uint32_t w) { return w % 2 == 0; };
+    const auto last_even = std::find_if(order.rbegin(), order.rend(), even);
+    ASSERT_EQ(list.find_from_lru(set, even), *last_even) << "touch " << i;
+  }
+  list.reset();
+  for (std::uint32_t s = 0; s < kSets; ++s) {
+    EXPECT_EQ(list.lru_way(s), kWays - 1);
+    for (std::uint32_t w = 0; w < kWays; ++w) EXPECT_EQ(list.depth_of(s, w), w);
+  }
 }
 
 // Policy-level victim checks through the ReplacementPolicy interface, with
