@@ -48,33 +48,11 @@ Cycles CmpSystem::memory_access(ThreadId thread, Addr addr, AccessType type,
                                 bool prefetchable, Cycles now) {
   CAPART_CHECK(thread < config_.num_threads, "thread id out of range");
   if (l1s_.empty()) [[unlikely]] build_private_caches();
-  cpu::CounterBlock& c = counters_.thread(thread);
-  c.instructions += 1;
-  c.l1_accesses += 1;
-
-  cpu::MemoryLevel level = cpu::MemoryLevel::kL1;
-  bool reaches_shared = !l1s_[core_of_[thread]].access(0, addr, type).hit;
-  if (reaches_shared) {
-    c.l1_misses += 1;
-    if (config_.enable_private_l2) {
-      c.private_l2_accesses += 1;
-      if (private_l2s_[core_of_[thread]].access(0, addr, type).hit) {
-        c.private_l2_hits += 1;
-        level = cpu::MemoryLevel::kPrivateL2;
-        reaches_shared = false;
-      } else {
-        c.private_l2_misses += 1;
-      }
-    }
-  }
-  Cycles contention_wait = 0;
-  if (reaches_shared) {
-    level = shared_access(thread, addr, type, now, c, contention_wait);
-  }
-  const Cycles cost = timing_.memory_cost(level, prefetchable) +
-                      contention_wait;
-  c.exec_cycles += cost;
-  return cost;
+  const ThreadId core = core_of_[thread];
+  const trace::ResolvedLevel level = resolve_private(
+      l1s_[core], private_l2s_.empty() ? nullptr : &private_l2s_[core], addr,
+      type);
+  return memory_access_resolved(thread, addr, type, prefetchable, level, now);
 }
 
 cpu::MemoryLevel CmpSystem::shared_access(ThreadId thread, Addr addr,
@@ -116,9 +94,8 @@ Cycles CmpSystem::memory_access_resolved(ThreadId thread, Addr addr,
   c.instructions += 1;
   c.l1_accesses += 1;
 
-  // Replay the private-hierarchy outcome's counter effects without touching
-  // the private caches — the resolve pass already ran them. The branch
-  // structure mirrors memory_access exactly.
+  // The private-hierarchy outcome's counter effects; the caches themselves
+  // were run by resolve_private, here or in a resolve pass.
   cpu::MemoryLevel level = cpu::MemoryLevel::kL1;
   Cycles contention_wait = 0;
   switch (resolved) {

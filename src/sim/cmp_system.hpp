@@ -59,13 +59,30 @@ struct BankContention {
   Cycles wait_cycles = 0;
 };
 
+/// The private-hierarchy leg of one access: the L1, then on a miss the
+/// private L2 slice when there is one (`private_l2` non-null). Returns the
+/// level the access resolved to. CmpSystem::memory_access runs it on the
+/// thread's current core, and ThreadResolver on a thread's own caches ahead
+/// of the driver, so a live and a resolved op reach the same level.
+inline trace::ResolvedLevel resolve_private(mem::CacheCore& l1,
+                                            mem::CacheCore* private_l2,
+                                            Addr addr, AccessType type) {
+  if (l1.access(0, addr, type).hit) return trace::ResolvedLevel::kL1Hit;
+  if (private_l2 != nullptr && private_l2->access(0, addr, type).hit) {
+    return trace::ResolvedLevel::kPrivateL2Hit;
+  }
+  return trace::ResolvedLevel::kShared;
+}
+
 class CmpSystem {
  public:
   explicit CmpSystem(const SystemConfig& config);
 
   /// Executes one memory instruction from `thread` and returns its cycle
-  /// cost. Updates counters and cache state. The access goes through the L1
-  /// of the core the thread is currently bound to, then (on L1 miss) the L2.
+  /// cost. Updates counters and cache state. The access goes through the
+  /// private caches of the core the thread is currently bound to
+  /// (resolve_private), then, if it misses them, the shared L2: it is
+  /// memory_access_resolved for the level the private caches gave.
   /// `prefetchable` marks sequential-streaming accesses whose DRAM latency
   /// the prefetchers mostly hide (see cpu::TimingParams). `now` is the
   /// issuing thread's cycle clock, used only by the bank-contention model
@@ -77,9 +94,8 @@ class CmpSystem {
   /// L1 hit / private-L2 hit / reaches the shared cache) was precomputed by
   /// a spooled or streamed resolve over the identical private hierarchy, so
   /// the private caches are not simulated again — only their counters are
-  /// updated, exactly as memory_access would have. Valid only while threads
-  /// stay on their initial 1:1 core binding (both resolves refuse migration
-  /// schedules). Counter and timing effects are bit-identical.
+  /// updated. Valid only while threads stay on their initial 1:1 core
+  /// binding (both resolves refuse migration schedules).
   Cycles memory_access_resolved(ThreadId thread, Addr addr, AccessType type,
                                 bool prefetchable,
                                 trace::ResolvedLevel level, Cycles now);
@@ -118,7 +134,7 @@ class CmpSystem {
   /// simulate private caches here, so they never pay for them.
   void build_private_caches();
 
-  /// The shared-cache leg common to memory_access and its resolved variant:
+  /// The shared-cache leg of an access that missed the private caches:
   /// bank contention, monitor feed, L2 lookup. Returns the level reached and
   /// adds any bank wait to `contention_wait`.
   cpu::MemoryLevel shared_access(ThreadId thread, Addr addr, AccessType type,

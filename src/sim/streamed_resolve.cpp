@@ -14,6 +14,7 @@
 #include "src/common/check.hpp"
 #include "src/common/error.hpp"
 #include "src/common/rng.hpp"
+#include "src/sim/cmp_system.hpp"
 #include "src/trace/trace_io.hpp"
 
 namespace capart::sim {
@@ -506,19 +507,14 @@ std::size_t ThreadResolver::fill(trace::NextOp* out, std::size_t n) {
   // Generate the batch first, then run its private-cache accesses. Ops
   // generated past the budget's end are dropped with the exhausted stream.
   const std::size_t generated = generator_.fill(out, n);
+  mem::CacheCore* const private_l2 = private_l2_ ? &*private_l2_ : nullptr;
   std::size_t i = 0;
   for (; i < generated && pulled_ < per_thread_; ++i) {
     trace::NextOp& op = out[i];
     const bool executed = pulled_ + op.gap + 1 <= per_thread_;
     pulled_ += op.gap + 1;
     if (!executed) continue;
-    if (l1_.access(0, op.addr, op.type).hit) {
-      op.resolved = trace::ResolvedLevel::kL1Hit;
-    } else if (private_l2_ && private_l2_->access(0, op.addr, op.type).hit) {
-      op.resolved = trace::ResolvedLevel::kPrivateL2Hit;
-    } else {
-      op.resolved = trace::ResolvedLevel::kShared;
-    }
+    op.resolved = resolve_private(l1_, private_l2, op.addr, op.type);
   }
   return i;
 }
