@@ -121,6 +121,13 @@ void ExperimentConfig::validate() const {
               "ways");
     }
   }
+  if (trace_spool_max_bytes > 0 && trace_spool_dir.empty()) {
+    throw ConfigError("trace-dir-max-bytes",
+                      "--trace-dir-max-bytes caps a spool directory and needs "
+                      "--trace-dir (got --trace-dir-max-bytes=" +
+                          std::to_string(trace_spool_max_bytes) +
+                          " without it)");
+  }
   if (l2_banks > 1) {
     if (!std::has_single_bit(l2_banks)) {
       throw ConfigError("l2-banks", "bank count must be a power of two (got " +

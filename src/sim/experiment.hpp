@@ -106,8 +106,9 @@ struct ExperimentConfig {
   /// Size cap for the spool directory (--trace-dir-max-bytes): after each
   /// spool acquisition the directory is shrunk to at most this many bytes of
   /// spool files, evicting least-recently-used entries (acquires refresh
-  /// recency). 0 = unbounded. Execution-resource knob like trace_spool_dir —
-  /// an evicted entry just regenerates on its next miss.
+  /// recency). 0 = unbounded; a cap without trace_spool_dir is a
+  /// ConfigError. Execution-resource knob like trace_spool_dir — an evicted
+  /// entry just regenerates on its next miss.
   std::uint64_t trace_spool_max_bytes = 0;
 
   std::vector<MigrationEvent> migrations;

@@ -256,6 +256,18 @@ TEST(Experiment, L2WaysBeyondSixteenBitsAreRejected) {
   EXPECT_CONFIG_ERROR(run_experiment(c), "at most 65535 ways");
 }
 
+// A spool cap with no spool directory once passed validation and was
+// silently ignored: the run took the streamed path and nothing was capped.
+TEST(Experiment, SpoolCapNeedsASpoolDirectory) {
+  ExperimentConfig c = small("cg");
+  c.trace_spool_max_bytes = 1 << 20;  // --trace-dir-max-bytes=1048576 alone
+  EXPECT_CONFIG_ERROR(run_experiment(c),
+                      "--trace-dir-max-bytes caps a spool directory and needs "
+                      "--trace-dir");
+  c.trace_spool_dir = ::testing::TempDir();
+  EXPECT_NO_THROW(c.validate());
+}
+
 TEST(Experiment, RegionBasesAreDisjoint) {
   EXPECT_NE(private_region_base(0), private_region_base(1));
   EXPECT_GT(shared_region_base(), private_region_base(63));
