@@ -3,7 +3,7 @@
 #include <istream>
 
 #include "src/common/check.hpp"
-#include "src/serve/spec_json.hpp"
+#include "src/obs/config_json.hpp"
 
 namespace capart::obs {
 namespace {
@@ -17,9 +17,9 @@ void write_header(JsonWriter& w, std::string_view type, std::string_view run) {
 std::string to_jsonl(const ManifestEvent& event) {
   JsonWriter w;
   write_header(w, "manifest", event.run);
-  // The config body is shared with the capart_serve spec codec, so a config
+  // The config body is the one capart_serve's spec codec reads, so a config
   // recorded in an events file is directly resubmittable to the daemon.
-  serve::write_config_fields(w, event.config);
+  write_config_fields(w, event.config);
   w.end_object();
   return w.str();
 }

@@ -12,15 +12,13 @@
 //     "config": { ... }                 // ...or shorthand for one arm "run"
 //   }
 //
-// Config field names and enum spellings match the manifest event exactly
-// ("profile", "policy": "model-based", "l2_mode": "partitioned-shared",
-// "l2": {"sets","ways","line_bytes","repl"}, ...), so the config a
-// JSONL events file records is directly resubmittable. Every field is
-// optional and defaults to ExperimentConfig's default; unknown keys are
-// rejected (they would silently change the canonical hash otherwise), and
-// every error throws ConfigError whose message names the offending JSON
-// path — parse failures additionally carry the byte offset reported by
-// obs::parse_json.
+// Each config object is read by obs::config_from_json
+// (src/obs/config_json.hpp), whose field names and enum spellings are the
+// manifest event's, so the config a JSONL events file records is directly
+// resubmittable. Unknown keys are rejected (they would silently change the
+// canonical hash otherwise), and every error throws ConfigError whose
+// message names the offending JSON path — parse failures additionally carry
+// the byte offset reported by obs::parse_json.
 //
 // Canonicalization: canonical_spec_json re-serializes the parsed request
 // with every field present in a fixed order, so two spec documents that
@@ -32,26 +30,12 @@
 #include <string>
 #include <string_view>
 
+#include "src/obs/config_json.hpp"
 #include "src/obs/json.hpp"
 #include "src/sim/batch.hpp"
 #include "src/sim/experiment.hpp"
 
 namespace capart::serve {
-
-/// Writes every ExperimentConfig field into the writer's currently open
-/// object — the single source of truth for config serialization, shared by
-/// the manifest event (src/obs/event_log.cpp) and the canonical spec form.
-void write_config_fields(obs::JsonWriter& w, const sim::ExperimentConfig& c);
-
-/// One config as a standalone JSON object document.
-std::string config_to_json(const sim::ExperimentConfig& c);
-
-/// Parses one config object. `where` prefixes error paths (e.g.
-/// "arms[0].config"). Throws ConfigError on non-object input, unknown keys,
-/// type mismatches and out-of-range values; does NOT run
-/// ExperimentConfig::validate() (spec_request_from_json does, per arm).
-sim::ExperimentConfig config_from_json(const obs::JsonValue& json,
-                                       const std::string& where);
 
 /// A parsed submission: the spec plus request-level execution options.
 struct SpecRequest {
@@ -60,10 +44,10 @@ struct SpecRequest {
   double deadline_seconds = 0.0;
 };
 
-/// Parses a spec document (see header comment). Each arm's config is
-/// validated through ExperimentConfig::validate() and its profile name
-/// checked against trace::benchmark_names(), so an invalid submission is
-/// rejected before it consumes an admission slot.
+/// Parses a spec document (see header comment). Each arm's config is read
+/// by obs::config_from_json, validated through ExperimentConfig::validate()
+/// and its profile name checked against trace::benchmark_names(), so an
+/// invalid submission is rejected before it consumes an admission slot.
 SpecRequest spec_request_from_json(const obs::JsonValue& json);
 
 /// Parses raw (untrusted) body text: obs::parse_json under `limits`, then

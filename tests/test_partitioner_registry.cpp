@@ -1,6 +1,6 @@
 // The partitioner registry (src/core/partitioner_registry.hpp): lookup,
 // aliasing and error behaviour; totality — every registered spelling
-// survives the CLI-parse -> obs-manifest -> serve-codec round trip
+// survives the CLI-parse -> obs-manifest -> config-codec round trip
 // byte-identically; and the behaviour of the three competitor policies the
 // registry hosts (ucp-lookahead, lfoc-classing, reuse-aware).
 #include "src/core/partitioner_registry.hpp"
@@ -20,9 +20,9 @@
 #include "src/core/ucp_policy.hpp"
 #include "src/math/apportion.hpp"
 #include "src/mem/utility_monitor.hpp"
+#include "src/obs/config_json.hpp"
 #include "src/obs/event_log.hpp"
 #include "src/obs/events.hpp"
-#include "src/serve/spec_json.hpp"
 #include "src/sim/experiment.hpp"
 #include "tests/expect_config_error.hpp"
 
@@ -94,7 +94,7 @@ TEST(PartitionerRegistry, RequireThrowsFieldPathErrorsListingTheRegistry) {
 // ---------------------------------------------------------------------------
 // Totality: every registered spelling (canonical name or alias) parses the
 // way the CLI parses it, serializes into the obs manifest, and round-trips
-// the serve codec back to identical bytes.
+// the config codec back to identical bytes.
 // ---------------------------------------------------------------------------
 
 TEST(PartitionerRegistry, EverySpellingRoundTripsCliManifestServe) {
@@ -121,13 +121,13 @@ TEST(PartitionerRegistry, EverySpellingRoundTripsCliManifestServe) {
       return member.first == "type" || member.first == "run";
     });
 
-    // Serve codec: manifest resubmission preserves the spelling and
+    // Config codec: manifest resubmission preserves the spelling and
     // re-serializes to identical bytes.
     const sim::ExperimentConfig decoded =
-        serve::config_from_json(config_json, "spec");
+        obs::config_from_json(config_json, "spec");
     EXPECT_EQ(decoded.policy, canonical) << spelling;
-    EXPECT_EQ(serve::config_to_json(decoded),
-              serve::config_to_json(event.config))
+    EXPECT_EQ(obs::config_to_json(decoded),
+              obs::config_to_json(event.config))
         << spelling;
   }
 }

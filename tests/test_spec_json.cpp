@@ -1,4 +1,5 @@
-// capart_serve spec codec tests (src/serve/spec_json.hpp): every
+// capart_serve spec codec tests (src/serve/spec_json.hpp, and the config
+// codec it reads configs with, src/obs/config_json.hpp): every
 // ExperimentConfig field survives the JSON round trip, malformed and
 // unknown input is rejected with a path-bearing ConfigError, canonical
 // serialization is insensitive to spelling, and a golden spec document
@@ -72,16 +73,16 @@ sim::ExperimentConfig reparse(const std::string& text) {
   std::string error;
   const std::optional<obs::JsonValue> json = obs::parse_json(text, &error);
   EXPECT_TRUE(json.has_value()) << error;
-  return config_from_json(*json, "spec");
+  return obs::config_from_json(*json, "spec");
 }
 
 TEST(SpecJson, EveryConfigFieldSurvivesTheRoundTrip) {
   const sim::ExperimentConfig original = full_config();
-  const std::string first = config_to_json(original);
+  const std::string first = obs::config_to_json(original);
   const sim::ExperimentConfig decoded = reparse(first);
   // Field-identity via re-serialization: the writer covers every field, so
   // equal bytes mean equal configs.
-  EXPECT_EQ(config_to_json(decoded), first);
+  EXPECT_EQ(obs::config_to_json(decoded), first);
 
   // Spot-check the fields the CLI grew flags for most recently.
   EXPECT_EQ(decoded.l2.repl, mem::ReplacementKind::kTreePlru);
@@ -97,8 +98,8 @@ TEST(SpecJson, EveryConfigFieldSurvivesTheRoundTrip) {
 
 TEST(SpecJson, EmptyObjectYieldsTheDefaultConfig) {
   const sim::ExperimentConfig decoded = reparse("{}");
-  EXPECT_EQ(config_to_json(decoded),
-            config_to_json(sim::ExperimentConfig{}));
+  EXPECT_EQ(obs::config_to_json(decoded),
+            obs::config_to_json(sim::ExperimentConfig{}));
 }
 
 TEST(SpecJson, ClosConfigRoundTrips) {
@@ -106,7 +107,7 @@ TEST(SpecJson, ClosConfigRoundTrips) {
   c.l2_enforce = mem::L2Enforce::kClosWayMask;
   c.clos_budget = 4;
   c.clos_mapper = core::ClosMapperKind::kNearest;
-  const sim::ExperimentConfig decoded = reparse(config_to_json(c));
+  const sim::ExperimentConfig decoded = reparse(obs::config_to_json(c));
   EXPECT_EQ(decoded.l2_enforce, mem::L2Enforce::kClosWayMask);
   EXPECT_EQ(decoded.clos_budget, 4u);
   EXPECT_EQ(decoded.clos_mapper, core::ClosMapperKind::kNearest);
@@ -125,8 +126,9 @@ TEST(SpecJson, ManifestEventConfigIsResubmittable) {
   std::erase_if(config.object, [](const auto& member) {
     return member.first == "type" || member.first == "run";
   });
-  const sim::ExperimentConfig decoded = config_from_json(config, "manifest");
-  EXPECT_EQ(config_to_json(decoded), config_to_json(event.config));
+  const sim::ExperimentConfig decoded =
+      obs::config_from_json(config, "manifest");
+  EXPECT_EQ(obs::config_to_json(decoded), obs::config_to_json(event.config));
 }
 
 TEST(SpecJson, RejectsUnknownKeysNamingThePath) {
@@ -176,7 +178,7 @@ TEST(SpecJson, RejectsUnknownEnumSpellings) {
 TEST(SpecJson, PolicyNoneRoundTrips) {
   const sim::ExperimentConfig decoded = reparse(R"({"policy":"none"})");
   EXPECT_TRUE(core::is_no_policy(decoded.policy));
-  EXPECT_NE(config_to_json(decoded).find("\"policy\":\"none\""),
+  EXPECT_NE(obs::config_to_json(decoded).find("\"policy\":\"none\""),
             std::string::npos);
 }
 
@@ -185,7 +187,7 @@ TEST(SpecJson, PolicyAliasesCanonicalize) {
   // so cache keys cannot split across spellings of one policy.
   const sim::ExperimentConfig decoded = reparse(R"({"policy":"model"})");
   EXPECT_EQ(decoded.policy, "model-based");
-  EXPECT_NE(config_to_json(decoded).find("\"policy\":\"model-based\""),
+  EXPECT_NE(obs::config_to_json(decoded).find("\"policy\":\"model-based\""),
             std::string::npos);
 }
 
@@ -196,10 +198,10 @@ TEST(SpecJson, EveryRegisteredPolicyRoundTripsByteIdentically) {
   for (const std::string& name : core::registry().names()) {
     sim::ExperimentConfig c;
     c.policy = name;
-    const std::string first = config_to_json(c);
+    const std::string first = obs::config_to_json(c);
     const sim::ExperimentConfig decoded = reparse(first);
     EXPECT_EQ(decoded.policy, name);
-    EXPECT_EQ(config_to_json(decoded), first) << name;
+    EXPECT_EQ(obs::config_to_json(decoded), first) << name;
   }
   EXPECT_CONFIG_ERROR(reparse(R"({"policy":"quantum-foam"})"),
                       "spec.policy");
