@@ -8,13 +8,13 @@
 //
 //   find_tag(tags, ways, needle) -> first matching way, or `ways` when absent
 //
-// One portable loop serves every build. It probes the caches below 16 ways
-// (the L1s and private-L2 slices; wider caches look tags up in the block
-// index) and finds the first empty way of a set that is not yet full.
-// AVX2, SSE2 and NEON versions of it made no benchmark workload faster and
-// were deleted (DESIGN.md, "The cache hot path"). "First" matters: a set
-// holds at most one copy of a block, but the first-empty-way search asks
-// for the first of many kInvalidTag ways.
+// One portable loop serves every build: vectorizing it made no benchmark
+// workload faster (DESIGN.md, "Throughput architecture"). It probes the
+// caches below 16 ways (the L1s and private-L2 slices; wider caches look
+// tags up in the block index) and finds the first empty way of a set that
+// is not yet full. "First" matters: a set holds at most one copy of a
+// block, but the first-empty-way search asks for the first of many
+// kInvalidTag ways.
 #pragma once
 
 #include <cstdint>

@@ -38,8 +38,6 @@ class ObjectReader {
     used_.assign(json_.object.size(), false);
   }
 
-  const std::string& where() const noexcept { return where_; }
-
   std::string path(std::string_view key) const {
     return where_ + "." + std::string(key);
   }

@@ -82,8 +82,9 @@ class MmapTraceFile {
   /// Opens `path`; returns nullptr when the file does not exist. Throws
   /// capart::Error on a malformed header or when `expect_key` is non-empty
   /// and does not match the stored key (a spool hash collision or a stale
-  /// file from an incompatible build — regenerating is the safe answer, so
-  /// callers treat it like a miss after removing the file). When mmap()
+  /// file from an incompatible build). The spool does not recover from
+  /// either: the Error fails the run that acquired the entry, and the file
+  /// stays until the user removes it or a size cap evicts it. When mmap()
   /// itself fails (no-MMU platforms, mapping limits, filesystems without
   /// mmap support), the file is stream-read instead of erroring.
   static std::unique_ptr<MmapTraceFile> open(const std::string& path,
