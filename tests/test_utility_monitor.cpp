@@ -24,7 +24,7 @@ TEST(UtilityMonitor, ColdAccessesAreMisses) {
   EXPECT_EQ(m.sampled_misses(0), 2u);
 }
 
-TEST(UtilityMonitor, HitDepthIsTheLruStackPosition) {
+TEST(UtilityMonitor, HitDepthIsTheLruPosition) {
   UtilityMonitor m(tiny(), 1, 0);
   // Touch blocks 0, 2, 4, 6 (all set 0), then re-touch 0: it is the least
   // recently used of four lines, stack position 3.
