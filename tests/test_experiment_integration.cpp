@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -264,6 +265,26 @@ TEST(Experiment, SpoolCapNeedsASpoolDirectory) {
   EXPECT_CONFIG_ERROR(run_experiment(c),
                       "--trace-dir-max-bytes caps a spool directory and needs "
                       "--trace-dir");
+  c.trace_spool_dir = ::testing::TempDir();
+  EXPECT_NO_THROW(c.validate());
+}
+
+// A --trace-dir that was missing or a regular file once passed validation
+// and failed every arm at its first spool write, naming an internal temp
+// file instead of the flag.
+TEST(Experiment, SpoolDirectoryMustExist) {
+  ExperimentConfig c = small("cg");
+  const std::string missing = ::testing::TempDir() + "/capart_no_spool_dir";
+  std::filesystem::remove_all(missing);
+  c.trace_spool_dir = missing;
+  EXPECT_CONFIG_ERROR(run_experiment(c),
+                      "--trace-dir=" + missing +
+                          " is not an existing directory");
+  const std::string file = missing + ".file";
+  std::ofstream(file) << "not a directory\n";
+  c.trace_spool_dir = file;
+  EXPECT_CONFIG_ERROR(run_experiment(c), "is not an existing directory");
+  std::filesystem::remove(file);
   c.trace_spool_dir = ::testing::TempDir();
   EXPECT_NO_THROW(c.validate());
 }
