@@ -2,8 +2,9 @@
 // reference_cache.hpp: CacheCore (every replacement policy x every
 // enforcement, at a scan-probed and a hash-indexed associativity, and as the
 // single-thread caches of the private hierarchy), BankedL2 at 1, 2 and 8
-// banks, and the UMON shadow directory are each driven with the same random
-// access, retarget and mask sequence as the oracle. After every access the
+// banks, and the UMON shadow directory (true LRU over a monitored cache of
+// every replacement policy) are each driven with the same random access,
+// retarget and mask sequence as the oracle. After every access the
 // hit/miss outcome, both inter-thread flags, the accessed set's resident
 // blocks (which exposes the victim) and the per-thread ownership of that set
 // must agree; after every retarget, the lines flushed.
@@ -331,18 +332,39 @@ INSTANTIATE_TEST_SUITE_P(Banks, ReferenceCacheBanked,
 struct UmonCase {
   std::uint32_t ways;
   std::uint32_t sampling_shift;
+  /// Replacement of the monitored cache; the shadow tags are true LRU
+  /// whatever it is, so the oracle is the same for every policy.
+  ReplacementKind repl = ReplacementKind::kTrueLru;
 };
 
 std::string umon_case_name(const ::testing::TestParamInfo<UmonCase>& info) {
-  return std::to_string(info.param.ways) + "w_shift" +
-         std::to_string(info.param.sampling_shift);
+  const UmonCase& c = info.param;
+  std::string name = std::to_string(c.ways) + "w_shift" +
+                     std::to_string(c.sampling_shift);
+  if (c.repl != ReplacementKind::kTrueLru) {
+    name += "_" + std::string(to_string(c.repl));
+  }
+  return name;
+}
+
+std::vector<UmonCase> umon_cases() {
+  std::vector<UmonCase> cases;
+  for (const ReplacementKind repl : kAllReplacementKinds) {
+    for (const std::uint32_t ways : {8u, 64u}) {
+      for (const std::uint32_t shift : {0u, 3u}) {
+        cases.push_back({.ways = ways, .sampling_shift = shift, .repl = repl});
+      }
+    }
+  }
+  return cases;
 }
 
 class ReferenceCacheUmon : public ::testing::TestWithParam<UmonCase> {};
 
 TEST_P(ReferenceCacheUmon, ShadowDirectoryMatchesOracle) {
   const UmonCase& c = GetParam();
-  const CacheGeometry g{.sets = 64, .ways = c.ways, .line_bytes = 64};
+  const CacheGeometry g{
+      .sets = 64, .ways = c.ways, .line_bytes = 64, .repl = c.repl};
   const ThreadId threads = 3;
   UtilityMonitor umon(g, threads, c.sampling_shift);
   ref::ReferenceUmon oracle(g.sets, g.ways, threads, c.sampling_shift);
@@ -369,11 +391,8 @@ TEST_P(ReferenceCacheUmon, ShadowDirectoryMatchesOracle) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Shadow, ReferenceCacheUmon,
-    ::testing::Values(UmonCase{8, 0}, UmonCase{8, 3}, UmonCase{64, 0},
-                      UmonCase{64, 3}),
-    umon_case_name);
+INSTANTIATE_TEST_SUITE_P(Shadow, ReferenceCacheUmon,
+                         ::testing::ValuesIn(umon_cases()), umon_case_name);
 
 }  // namespace
 }  // namespace capart::mem
