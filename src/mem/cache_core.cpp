@@ -115,6 +115,7 @@ void CacheCore::set_targets(std::span<const std::uint32_t> targets) {
 
 void CacheCore::invalidate_line(std::uint32_t set, std::uint32_t way) {
   const std::size_t idx = line_index(set, way);
+  CAPART_DCHECK(!mono_, "a single-thread cache never invalidates a line");
   CAPART_DCHECK(tags_[idx] != kInvalidTag, "invalidating an invalid line");
   if (index_ != nullptr) index_->erase(set, tags_[idx]);
   tags_[idx] = kInvalidTag;
@@ -148,9 +149,16 @@ std::uint32_t CacheCore::choose_victim(std::uint32_t set, ThreadId thread) {
     return repl_->victim(set, in_mask);
   }
   // The fill count skips the first-invalid scan once the set is full — the
-  // steady state of every long run; a partially filled set (warmup, or holes
-  // from a reconfiguration flush) still takes the bounded probe below.
+  // steady state of every long run. A partially filled set of a mono cache
+  // has its first empty way at its fill count (see mono_); a shared cache's
+  // (warmup, or holes a flush-reconfiguration retarget left) takes the
+  // bounded probe.
   if (fill_count_[set] < geometry_.ways) {
+    if (mono_) {
+      CAPART_DCHECK(tags[fill_count_[set]] == kInvalidTag,
+                    "a single-thread cache's first empty way is its fill count");
+      return fill_count_[set];
+    }
     const std::uint32_t w =
         simd::find_tag(tags, geometry_.ways, kInvalidTag);
     if (w < geometry_.ways) return w;
@@ -341,6 +349,15 @@ bool CacheCore::contains_block_in_set(std::uint64_t block,
                                       std::uint32_t set) const noexcept {
   std::uint32_t probes = 0;
   return find_way(set, block, probes) != BlockWayIndex::kNotFound;
+}
+
+std::uint32_t CacheCore::recency_depth(std::uint64_t block,
+                                       std::uint32_t set) const noexcept {
+  CAPART_DCHECK(lru_fast_ != nullptr, "recency_depth needs true LRU");
+  std::uint32_t probes = 0;
+  const std::uint32_t w = find_way(set, block, probes);
+  if (w == BlockWayIndex::kNotFound) return geometry_.ways;
+  return lru_fast_->depth_of(set, w);
 }
 
 std::uint32_t CacheCore::owned_in_set(std::uint32_t set,

@@ -93,6 +93,27 @@ TEST(SingleThreadCache, FullAssociativitySweep) {
   EXPECT_TRUE(c.contains(blk(1)));
 }
 
+TEST(SingleThreadCache, RecencyDepthIsTheLruPosition) {
+  // The UMON shadows' query, on a scan-probed and an index-probed store.
+  for (const std::uint32_t ways : {4u, 16u}) {
+    CacheCore c = single({.sets = 1, .ways = ways, .line_bytes = 64});
+    EXPECT_EQ(c.recency_depth(0, 0), ways);  // empty: not resident
+    for (std::uint64_t b = 0; b < ways; ++b) hit(c, blk(b), AccessType::kRead);
+    for (std::uint64_t b = 0; b < ways; ++b) {
+      EXPECT_EQ(c.recency_depth(b, 0), ways - 1 - b) << ways << " ways";
+    }
+    hit(c, blk(0), AccessType::kRead);  // block 0 becomes MRU
+    EXPECT_EQ(c.recency_depth(0, 0), 0u);
+    EXPECT_EQ(c.recency_depth(1, 0), ways - 1);
+    hit(c, blk(ways), AccessType::kRead);  // evicts block 1, the LRU
+    EXPECT_EQ(c.recency_depth(1, 0), ways);
+    EXPECT_EQ(c.recency_depth(ways, 0), 0u);
+    EXPECT_EQ(c.recency_depth(0, 0), 1u);
+    c.flush();
+    EXPECT_EQ(c.recency_depth(0, 0), ways);
+  }
+}
+
 TEST(SingleThreadCache, CyclicSweepOverCapacityAlwaysMisses) {
   // Classic LRU pathology: looping over capacity+1 blocks never hits.
   CacheCore c = single({.sets = 1, .ways = 4, .line_bytes = 64});
