@@ -2,11 +2,12 @@
 //
 // Every simulated access used to pay a linear scan over all ways to find the
 // resident line — at the paper's 64-way shared L2 (Fig 2) that scan is the
-// single hottest loop in the simulator, and the UMON shadow directory repeats
-// it once more per sampled access. `BlockWayIndex` replaces the scan with one
-// flat open-addressing hash table, `sets x next_pow2(2 * ways)` slots,
-// maintained incrementally on fill/evict/flush/retarget so the access path
-// never allocates and never rescans.
+// single hottest loop in the simulator, and the UMON shadow directories
+// (64-way CacheCores too) repeat it per sampled access. `BlockWayIndex`
+// replaces the scan with one flat open-addressing hash table,
+// `sets x next_pow2(2 * ways)` slots, maintained incrementally on
+// fill/evict/flush/retarget so the access path never allocates and never
+// rescans.
 //
 // Invariant: the index holds exactly the (block, way) pairs of the *valid*
 // lines of each set — an entry exists if and only if the line is valid. A
@@ -34,8 +35,9 @@ namespace capart::mem {
 /// wins at small associativities (the L1s and private-L2 slices) and loses
 /// to the index from about 16 ways up (the crossover bench/micro_cache
 /// measures with BM_IndexHit and BM_IndexMissEvictionControl); the paper's
-/// 64-way shared L2 and its UMON shadow directories take the index. Either
-/// way the same line is found, so results never depend on this rule.
+/// 64-way shared L2 and its UMON shadow directories (CacheCores of the same
+/// associativity) take the index. Either way the same line is found, so
+/// results never depend on this rule.
 constexpr bool use_block_index(std::uint32_t ways) noexcept {
   return ways >= 16;
 }

@@ -30,15 +30,15 @@
 
 namespace capart::mem {
 
-/// Sentinel tag of an empty (invalid) way in the struct-of-arrays tag store
-/// shared by the cache core and the UMON shadow directories: validity is
-/// folded into the tag array itself — a way is valid iff its tag differs from
-/// kInvalidTag — so the hit probe is a pure contiguous 64-bit compare loop
-/// (one cache line of tags for 8 ways) with no second validity array to
-/// stride through (see simd.hpp). No real block
-/// can collide: block numbers are addresses divided by the line size, and
-/// the address space tops out far below 2^64 (the shared region base is
-/// 2^52; cache_core DCHECKs the invariant on every access).
+/// Sentinel tag of an empty (invalid) way in the cache core's
+/// struct-of-arrays tag store (the UMON shadow directories are cache cores
+/// too): validity is folded into the tag array itself — a way is valid iff
+/// its tag differs from kInvalidTag — so the hit probe is a pure contiguous
+/// 64-bit compare loop (one cache line of tags for 8 ways) with no second
+/// validity array to stride through (see simd.hpp). No real block can
+/// collide: block numbers are addresses divided by the line size, and the
+/// address space tops out far below 2^64 (the shared region base is 2^52;
+/// cache_core DCHECKs the invariant on every access).
 inline constexpr std::uint64_t kInvalidTag = ~std::uint64_t{0};
 
 /// Replacement policy of one cache structure. kTrueLru is the paper-faithful
@@ -64,9 +64,10 @@ inline constexpr ReplacementKind kAllReplacementKinds[] = {
 /// Per-set true-LRU recency order, stored as an intrusive doubly-linked list
 /// of the ways: move-to-front — the operation every single access performs —
 /// is O(1) link surgery. It is the recency order of the cache core's LRU
-/// policy and of the shadow-tag utility monitor (whose auxiliary directory
-/// is LRU by definition, whatever the main cache runs); the monitor also
-/// asks how deep in the order a hit landed (depth_of).
+/// policy, the shadow-tag utility monitor's included (its directories are
+/// true-LRU cache cores, whatever the main cache runs); the monitor also
+/// asks how deep in the order a hit landed (depth_of, through
+/// CacheCore::recency_depth).
 class LruList {
  public:
   LruList(std::uint32_t sets, std::uint32_t ways);
