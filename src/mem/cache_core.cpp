@@ -33,12 +33,15 @@ CacheCore::CacheCore(const CacheGeometry& geometry, ThreadId num_threads,
   repl_ = make_replacement(geometry_.repl, geometry_.sets, geometry_.ways);
   lru_fast_ = repl_->lru_list();
   tags_.assign(lines, kInvalidTag);
-  owner_.assign(lines, kNoThread);
-  last_accessor_.assign(lines, kNoThread);
   dirty_.assign(lines, 0);
-  owned_.assign(static_cast<std::size_t>(geometry_.sets) * num_threads_, 0);
   fill_count_.assign(geometry_.sets, 0);
-  owned_totals_.assign(num_threads_, 0);
+  if (!mono_) {
+    // A mono core never reads its sharing metadata (see mono_).
+    owner_.assign(lines, kNoThread);
+    last_accessor_.assign(lines, kNoThread);
+    owned_.assign(static_cast<std::size_t>(geometry_.sets) * num_threads_, 0);
+    owned_totals_.assign(num_threads_, 0);
+  }
   if (use_block_index(geometry_.ways)) {
     index_ = std::make_unique<BlockWayIndex>(geometry_.sets, geometry_.ways);
   }
@@ -197,10 +200,12 @@ std::uint32_t CacheCore::choose_victim(std::uint32_t set, ThreadId thread) {
     // path of every unpartitioned cache.
     return lru_fast_->lru_way(set);
   }
-  const ReplacementPolicy::Eligible eligible{.tags = tags,
-                                             .owner = &owner_[base],
-                                             .scope = scope,
-                                             .thread = thread};
+  // A mono core keeps no owners; its kAnyValid scope never reads them.
+  const ReplacementPolicy::Eligible eligible{
+      .tags = tags,
+      .owner = mono_ ? nullptr : &owner_[base],
+      .scope = scope,
+      .thread = thread};
   return repl_->victim(set, eligible);
 }
 

@@ -218,7 +218,8 @@ class CacheCore {
   /// whole cache, so no retarget ever invalidates a line and only flush()
   /// empties one, whole: a set's valid lines are its first fill-count ways,
   /// and choose_victim fills the way at the fill count without a probe.
-  /// owned_in_set/owned_total derive from fill counts too.
+  /// owned_in_set/owned_total derive from fill counts too, so owner_,
+  /// last_accessor_, owned_ and owned_totals_ stay empty.
   bool mono_ = false;
   std::unique_ptr<ReplacementPolicy> repl_;
   /// repl_'s LruList when the policy is true LRU (the default), else null:
