@@ -9,10 +9,12 @@
 // tests/golden/digests.json. Each arm is recomputed on every execution
 // path: the default streamed path, the same path with every chunk resolved
 // inline (what a single-CPU host runs), from a cold spool in a fresh
-// directory, unresolved (caller-supplied generators whose private caches
-// the driver simulates, as migration runs and capart_bench's traced sweeps
-// do), and as one batch on four workers sharing one cold spool. A mismatch
-// names the arm and its first differing interval.
+// directory, from a warm spool another resolve wrote (copied into a
+// directory this process never mapped), unresolved (caller-supplied
+// generators whose private caches the driver simulates, as migration runs
+// and capart_bench's traced sweeps do), and as one batch on four workers
+// sharing one cold spool. A mismatch names the arm and its first differing
+// interval.
 //
 // Results are meant to move only deliberately. Regenerate then, and say
 // why in CHANGES.md, with:
@@ -37,6 +39,7 @@
 #include "src/sim/batch.hpp"
 #include "src/sim/experiment.hpp"
 #include "src/sim/streamed_resolve.hpp"
+#include "src/sim/trace_spool.hpp"
 #include "src/trace/benchmarks.hpp"
 #include "src/trace/phase.hpp"
 
@@ -302,6 +305,47 @@ TEST(GoldenDigests, ColdSpool) {
     config.trace_spool_dir = dir;
     sim::ExperimentResult result = sim::run_experiment(config);
     std::filesystem::remove_all(dir);
+    return result;
+  });
+}
+
+// Every pinned arm from a warm spool written by a resolve this run did not
+// make: a cold resolve into one fresh directory, its capart_*.trc files
+// copied into a second directory this process has never mapped, and the arm
+// run from the copy, which must resolve no stream.
+TEST(GoldenDigests, WarmSpool) {
+  static std::atomic<unsigned> serial{0};
+  expect_path_matches_golden("warm spool", [](sim::ExperimentConfig config) {
+    const std::string stem = ::testing::TempDir() + "/golden_warm." +
+                             std::to_string(::getpid()) + "." +
+                             std::to_string(serial++);
+    const std::string cold = stem + ".cold";
+    const std::string warm = stem + ".warm";
+    for (const std::string& dir : {cold, warm}) {
+      std::filesystem::remove_all(dir);
+      std::filesystem::create_directories(dir);
+    }
+    config.trace_spool_dir = cold;
+    const Instructions per_thread = config.interval_instructions *
+                                    config.num_intervals / config.num_threads;
+    EXPECT_EQ(sim::spool_sources(config, per_thread).size(),
+              config.num_threads);
+    std::size_t copied = 0;
+    for (const auto& entry : std::filesystem::directory_iterator(cold)) {
+      const std::string name = entry.path().filename().string();
+      if (name.starts_with("capart_") && name.ends_with(".trc")) {
+        std::filesystem::copy_file(entry.path(), warm + "/" + name);
+        ++copied;
+      }
+    }
+    EXPECT_EQ(copied, config.num_threads);
+    config.trace_spool_dir = warm;
+    const std::uint64_t resolved = sim::spool_streams_resolved_for_testing();
+    sim::ExperimentResult result = sim::run_experiment(config);
+    EXPECT_EQ(sim::spool_streams_resolved_for_testing(), resolved)
+        << "the warm spool resolved streams of its own";
+    std::filesystem::remove_all(cold);
+    std::filesystem::remove_all(warm);
     return result;
   });
 }
