@@ -52,9 +52,13 @@ class Rng {
     return static_cast<std::uint64_t>(m >> 64);
   }
 
+  /// Uniform lattice index k in [0, 2^53): unit() is k * 2^-53, so a
+  /// quantity computed from unit() is a function of k.
+  std::uint64_t lattice() noexcept { return (*this)() >> 11; }
+
   /// Uniform double in [0, 1) with 53 bits of precision.
   double unit() noexcept {
-    return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
+    return static_cast<double>(lattice()) * 0x1.0p-53;
   }
 
   /// Bernoulli draw with success probability `p` (clamped to [0, 1]).

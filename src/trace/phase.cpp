@@ -3,6 +3,18 @@
 #include <algorithm>
 
 namespace capart::trace {
+namespace {
+
+std::vector<DrawTables> phase_tables(const PhaseSchedule& schedule) {
+  std::vector<DrawTables> tables;
+  tables.reserve(schedule.size());
+  for (const Phase& phase : schedule.phases()) {
+    tables.push_back(DrawTableRegistry::process().tables(phase.params));
+  }
+  return tables;
+}
+
+}  // namespace
 
 PhaseSchedule::PhaseSchedule(std::vector<Phase> phases)
     : phases_(std::move(phases)) {
@@ -39,7 +51,9 @@ const Phase& PhaseSchedule::at(Instructions pos) const noexcept {
 PhasedGenerator::PhasedGenerator(PhaseSchedule schedule, Rng rng,
                                  Addr private_base, Addr shared_base)
     : schedule_(std::move(schedule)),
-      generator_(schedule_.at(0).params, rng, private_base, shared_base),
+      tables_(phase_tables(schedule_)),
+      generator_(schedule_.at(0).params, tables_[schedule_.index_at(0)], rng,
+                 private_base, shared_base),
       current_phase_(schedule_.index_at(0)),
       phase_end_(schedule_.phase_end(0)) {}
 
@@ -57,7 +71,8 @@ std::size_t PhasedGenerator::fill(NextOp* out, std::size_t n) {
       const std::size_t phase = schedule_.index_at(position_);
       if (phase != current_phase_) {
         current_phase_ = phase;
-        generator_.set_params(schedule_.phases()[phase].params);
+        generator_.set_params(schedule_.phases()[phase].params,
+                              tables_[phase]);
       }
       phase_end_ = schedule_.phase_end(position_);
     }

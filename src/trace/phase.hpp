@@ -45,6 +45,9 @@ class PhaseSchedule {
 /// A trace generator that switches parameters at phase boundaries.
 class PhasedGenerator final : public OpSource {
  public:
+  /// Validates every phase's parameters and fetches their draw tables from
+  /// the process-wide registry (draw_table.hpp), building missing ones, so
+  /// fill() never builds a table or takes the registry's lock.
   PhasedGenerator(PhaseSchedule schedule, Rng rng, Addr private_base,
                   Addr shared_base);
 
@@ -71,6 +74,8 @@ class PhasedGenerator final : public OpSource {
 
  private:
   PhaseSchedule schedule_;
+  /// Each phase's draw tables, in schedule order.
+  std::vector<DrawTables> tables_;
   StackDistGenerator generator_;
   Instructions position_ = 0;
   std::size_t current_phase_;

@@ -11,10 +11,17 @@ namespace capart::trace {
 namespace {
 
 constexpr std::uint32_t kLineBytes = 64;
-constexpr Instructions kMaxGap = 4096;
 
-double clamp(double v, double lo, double hi) {
-  return std::min(std::max(v, lo), hi);
+/// `table`'s value at lattice index `k`, or the libm draw's where the table
+/// declines or there is none.
+template <class Libm>
+std::uint64_t tabulated(const ThresholdTable* table, std::uint64_t k,
+                        const DrawParams& params, Libm libm) {
+  if (table != nullptr) {
+    const std::uint32_t value = table->lookup(k);
+    if (value != ThresholdTable::kUndecided) return value;
+  }
+  return libm(k, params);
 }
 
 void require_finite(double v, const char* field) {
@@ -69,8 +76,15 @@ void GenParams::validate() const {
 
 StackDistGenerator::StackDistGenerator(const GenParams& params, Rng rng,
                                        Addr private_base, Addr shared_base)
+    : StackDistGenerator(params, DrawTableRegistry::process().tables(params),
+                         rng, private_base, shared_base) {}
+
+StackDistGenerator::StackDistGenerator(const GenParams& params,
+                                       const DrawTables& tables, Rng rng,
+                                       Addr private_base, Addr shared_base)
     : params_(params),
       rng_(rng),
+      tables_(tables),
       private_base_(private_base),
       shared_base_(shared_base) {
   params_.validate();
@@ -78,13 +92,21 @@ StackDistGenerator::StackDistGenerator(const GenParams& params, Rng rng,
 }
 
 void StackDistGenerator::refresh_param_cache() {
-  const double m = clamp(params_.mem_ratio, 0.005, 0.95);
-  gap_log_denom_ = std::log1p(-m);
+  draw_ = DrawParams(params_);
+  shared_ = LatticeChance(params_.share_fraction);
+  fresh_ = LatticeChance(params_.p_new);
+  write_ = LatticeChance(params_.write_fraction);
 }
 
 void StackDistGenerator::set_params(const GenParams& params) {
+  set_params(params, DrawTableRegistry::process().tables(params));
+}
+
+void StackDistGenerator::set_params(const GenParams& params,
+                                    const DrawTables& tables) {
   params.validate();
   params_ = params;
+  tables_ = tables;
   refresh_param_cache();
   // Shrinking the working set drops the least recently used blocks: the
   // program stopped touching them.
@@ -110,31 +132,21 @@ void StackDistGenerator::drop_lru(std::size_t n) {
 
 Instructions StackDistGenerator::draw_gap() {
   // Geometric gap with mean (1-m)/m so memory ops are an m-fraction of
-  // instructions; inversion sampling. The denominator is cached per phase.
-  const double u = rng_.unit();
-  const double g = std::log1p(-u) / gap_log_denom_;
-  const auto gap = static_cast<Instructions>(g);
-  return std::min(gap, kMaxGap);
+  // instructions; inversion sampling.
+  return tabulated(tables_.gap, rng_.lattice(), draw_, gap_of);
 }
 
 std::uint64_t StackDistGenerator::draw_depth() {
   // Depths are drawn over the *configured* working set, not the blocks seen
   // so far; a draw beyond the current stack is a cold touch, which is what
   // lets the footprint grow toward W even with p_new = 0.
-  const double gamma = clamp(params_.reuse_skew, 0.05, 20.0);
-  const double u = std::pow(rng_.unit(), gamma);
-  const double w = static_cast<double>(params_.working_set_blocks);
-  const double d = std::pow(std::max(w, 2.0), u);
-  return static_cast<std::uint64_t>(d);
+  return tabulated(tables_.depth, rng_.lattice(), draw_, depth_of);
 }
 
 Addr StackDistGenerator::shared_access() {
-  const double skew = clamp(params_.shared_skew, 0.05, 20.0);
-  const double u = std::pow(rng_.unit(), skew);
-  const auto region = static_cast<double>(params_.shared_region_blocks);
-  auto idx = static_cast<std::uint64_t>(u * region);
-  if (idx >= params_.shared_region_blocks) idx = params_.shared_region_blocks - 1;
-  return shared_base_ + idx * kLineBytes;
+  const std::uint64_t block =
+      tabulated(tables_.shared, rng_.lattice(), draw_, shared_block_of);
+  return shared_base_ + block * kLineBytes;
 }
 
 Addr StackDistGenerator::private_access(std::uint64_t depth, bool& was_new) {
@@ -174,16 +186,15 @@ std::size_t StackDistGenerator::fill(NextOp* out, std::size_t n,
     NextOp& op = out[i];
     op = NextOp{};
     op.gap = draw_gap();
-    if (rng_.chance(params_.share_fraction)) {
+    if (shared_(rng_)) {
       op.addr = shared_access();
     } else {
-      const bool force_new = rng_.chance(params_.p_new);
+      const bool force_new = fresh_(rng_);
       pending_[privates++] = {static_cast<std::uint32_t>(i),
                               (force_new || stack_empty) ? 0 : draw_depth()};
       stack_empty = false;
     }
-    op.type = rng_.chance(params_.write_fraction) ? AccessType::kWrite
-                                                  : AccessType::kRead;
+    op.type = write_(rng_) ? AccessType::kWrite : AccessType::kRead;
     position += op.gap + 1;
     ++i;
     if (position >= stop) break;

@@ -28,6 +28,7 @@
 #include "src/common/rng.hpp"
 #include "src/common/types.hpp"
 #include "src/trace/access.hpp"
+#include "src/trace/draw_table.hpp"
 
 namespace capart::trace {
 
@@ -77,13 +78,18 @@ class StackDistGenerator {
 
   /// `private_base` / `shared_base` are the byte addresses where this
   /// thread's private region and the application's shared region begin; the
-  /// shared base must be identical across sibling threads.
+  /// shared base must be identical across sibling threads. The draws use
+  /// `tables` (see draw_table.hpp); without them, the process-wide
+  /// registry's tables for `params`.
   StackDistGenerator(const GenParams& params, Rng rng, Addr private_base,
                      Addr shared_base);
+  StackDistGenerator(const GenParams& params, const DrawTables& tables,
+                     Rng rng, Addr private_base, Addr shared_base);
 
   /// Generates up to min(n, kBatchOps) (gap, memory-access) units into
-  /// `out` and returns how many, in two passes: every RNG draw, pow and
-  /// log1p first, in the order op by op generation would make them, then
+  /// `out` and returns how many, in two passes: every draw first — a
+  /// threshold-table lookup, or the libm expression where the table
+  /// declines — in the order op by op generation would make them, then
   /// the batch's LRU-stack moves. Each op advances `position` by its
   /// gap + 1, and the batch ends after the op that takes `position` to
   /// `stop` or beyond, so a caller switching params there (a phase
@@ -97,8 +103,10 @@ class StackDistGenerator {
 
   /// Switches behaviour at a phase boundary. The LRU stack is retained
   /// (truncated to the new working-set size), modeling a program moving to a
-  /// new phase with warm state.
+  /// new phase with warm state. The draws use `tables`; without them, the
+  /// process-wide registry's (which may build them).
   void set_params(const GenParams& params);
+  void set_params(const GenParams& params, const DrawTables& tables);
 
   /// Sizes the LRU stack's storage for working sets of up to `blocks`, so
   /// later draws never allocate. The stream is unchanged: capacity is not
@@ -131,11 +139,13 @@ class StackDistGenerator {
 
   GenParams params_;
   Rng rng_;
-  /// log1p(-clamped mem_ratio): the gap draw's denominator depends only on
-  /// the params, not the draw — computing it once per phase keeps one
-  /// transcendental off the per-op path (the division itself is unchanged,
-  /// so drawn gaps are bit-identical).
-  double gap_log_denom_ = 0.0;
+  /// The clamped parameters the libm draws use, computed once per phase.
+  DrawParams draw_;
+  DrawTables tables_;
+  /// Rng::chance of share_fraction, p_new and write_fraction.
+  LatticeChance shared_;
+  LatticeChance fresh_;
+  LatticeChance write_;
   Addr private_base_;
   Addr shared_base_;
   /// LRU stack of private blocks: logical entries are stack_[base_..) with
