@@ -356,13 +356,29 @@ bool CacheCore::contains_block_in_set(std::uint64_t block,
   return find_way(set, block, probes) != BlockWayIndex::kNotFound;
 }
 
-std::uint32_t CacheCore::recency_depth(std::uint64_t block,
-                                       std::uint32_t set) const noexcept {
-  CAPART_DCHECK(lru_fast_ != nullptr, "recency_depth needs true LRU");
+std::uint32_t CacheCore::recency_access(std::uint64_t block,
+                                        std::uint32_t set) {
+  CAPART_DCHECK(mono_ && lru_fast_ != nullptr,
+                "recency_access needs a single-thread true-LRU cache");
   std::uint32_t probes = 0;
   const std::uint32_t w = find_way(set, block, probes);
-  if (w == BlockWayIndex::kNotFound) return geometry_.ways;
-  return lru_fast_->depth_of(set, w);
+  if (w != BlockWayIndex::kNotFound) {
+    const std::uint32_t depth = lru_fast_->depth_of(set, w);
+    lru_fast_->touch(set, w);
+    return depth;
+  }
+  const std::uint32_t way = choose_victim(set, 0);
+  const std::size_t idx = line_index(set, way);
+  if (tags_[idx] == kInvalidTag) {
+    fill_count_[set] += 1;
+  } else if (index_ != nullptr) {
+    index_->erase(set, tags_[idx]);
+  }
+  tags_[idx] = block;
+  dirty_[idx] = 0;
+  if (index_ != nullptr) index_->insert(set, block, way);
+  lru_fast_->touch(set, way);
+  return geometry_.ways;
 }
 
 std::uint32_t CacheCore::owned_in_set(std::uint32_t set,

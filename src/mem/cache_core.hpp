@@ -150,11 +150,11 @@ class CacheCore {
   bool contains_block_in_set(std::uint64_t block,
                              std::uint32_t set) const noexcept;
 
-  /// True-LRU stack position of `block` in `set` (0 = MRU), or ways() when
-  /// it is not resident: the hit depth the UMON shadow directories count.
-  /// Only for caches under true LRU.
-  std::uint32_t recency_depth(std::uint64_t block,
-                              std::uint32_t set) const noexcept;
+  /// A UMON shadow directory's access: returns `block`'s true-LRU stack
+  /// position in `set` (0 = MRU), or ways() when it is not resident, then
+  /// touches or fills it as access_in_set's read does, from one probe and
+  /// without the stats. Only for single-thread caches under true LRU.
+  std::uint32_t recency_access(std::uint64_t block, std::uint32_t set);
 
   /// Lines currently owned by `thread` in set `set` (test/introspection).
   std::uint32_t owned_in_set(std::uint32_t set, ThreadId thread) const;

@@ -67,7 +67,7 @@ inline constexpr ReplacementKind kAllReplacementKinds[] = {
 /// policy, the shadow-tag utility monitor's included (its directories are
 /// true-LRU cache cores, whatever the main cache runs); the monitor also
 /// asks how deep in the order a hit landed (depth_of, through
-/// CacheCore::recency_depth).
+/// CacheCore::recency_access).
 class LruList {
  public:
   LruList(std::uint32_t sets, std::uint32_t ways);

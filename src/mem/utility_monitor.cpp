@@ -40,14 +40,13 @@ void UtilityMonitor::observe(ThreadId thread, Addr addr) {
   if ((set & ((1u << sampling_shift_) - 1)) != 0) return;
   const std::uint32_t shadow_set = set >> sampling_shift_;
   ++accesses_[thread];
-  CacheCore& shadow = shadows_[thread];
-  const std::uint32_t depth = shadow.recency_depth(block, shadow_set);
+  const std::uint32_t depth =
+      shadows_[thread].recency_access(block, shadow_set);
   if (depth < geometry_.ways) {
     ++depth_hits_[static_cast<std::size_t>(thread) * geometry_.ways + depth];
   } else {
     ++misses_[thread];
   }
-  shadow.access_in_set(0, block, shadow_set, AccessType::kRead);
 }
 
 std::uint64_t UtilityMonitor::hits_at_depth(ThreadId thread,

@@ -81,7 +81,7 @@ class UtilityMonitor {
   /// Per thread, the shadow directory: a single-thread CacheCore of the
   /// sampled sets at the monitored associativity, true LRU whatever policy
   /// the monitored cache runs (the directory is LRU by definition). A hit's
-  /// stack depth is its recency_depth before the access.
+  /// stack depth is what recency_access returns.
   std::vector<CacheCore> shadows_;
   // Interval counters.
   std::vector<std::uint64_t> depth_hits_;  // [thread * ways + depth]

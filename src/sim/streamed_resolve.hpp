@@ -3,8 +3,9 @@
 //
 // A live run spends most of its host time outside the shared cache: on the
 // fig 19-21 sweep, simulated all on the driver's thread, generating the op
-// streams is ~40 % of the wall and simulating the private L1s another
-// ~25 %. Neither depends on the shared cache or on the other threads. The
+// streams is ~40 % of the wall (the LRU stack's moves about half of a
+// critical thread's op) and simulating the private L1s another ~25 %.
+// Neither depends on the shared cache or on the other threads. The
 // model has no coherence between private caches, so a thread's private
 // hit/miss sequence is a function of its own stream alone — the fact the
 // trace spool rests on. A run with no caller-supplied sources, no spool

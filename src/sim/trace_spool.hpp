@@ -11,8 +11,8 @@
 // packed v2 trace file (trace_io.hpp). Every later experiment — in this
 // process or any other sharing the spool directory — mmap()s the file and
 // replays it, skipping both generation (~40 % of a fig 19-21 sweep that
-// simulates everything on the driver's thread) and private-hierarchy
-// simulation (the L1s are another ~25 %): the driver
+// simulates everything on the driver's thread, draws and LRU-stack moves)
+// and private-hierarchy simulation (the L1s are another ~25 %): the driver
 // dispatches resolved ops through CmpSystem::memory_access_resolved, which
 // replays the private-level counter effects and simulates only the shared
 // cache.

@@ -110,24 +110,14 @@ void StackDistGenerator::set_params(const GenParams& params,
   refresh_param_cache();
   // Shrinking the working set drops the least recently used blocks: the
   // program stopped touching them.
-  if (stack_size() > params_.working_set_blocks) {
-    drop_lru(stack_size() - params_.working_set_blocks);
+  if (stack_.size() > params_.working_set_blocks) {
+    stack_.drop_lru(stack_.size() - params_.working_set_blocks);
   }
 }
 
 void StackDistGenerator::reserve(std::uint32_t blocks) {
-  // The dead prefix is compacted once it reaches the live size, and the
-  // live size exceeds the working set by at most one block before the LRU
-  // one drops, so the vector never holds more than 2 * blocks + 2 entries.
-  stack_.reserve(2 * static_cast<std::size_t>(blocks) + 2);
-}
-
-void StackDistGenerator::drop_lru(std::size_t n) {
-  base_ += n;
-  if (base_ >= stack_.size() - base_) {
-    stack_.erase(stack_.begin(), stack_.begin() + static_cast<std::ptrdiff_t>(base_));
-    base_ = 0;
-  }
+  // The stack never holds more than the working set.
+  stack_.reserve(blocks);
 }
 
 Instructions StackDistGenerator::draw_gap() {
@@ -152,21 +142,19 @@ Addr StackDistGenerator::shared_access() {
 Addr StackDistGenerator::private_access(std::uint64_t depth, bool& was_new) {
   std::uint32_t block;
   was_new = false;
-  if (depth >= 1 && depth <= stack_size()) {
+  if (depth >= 1 && depth <= stack_.size()) {
     // Re-reference the block at stack depth `depth` (1 = MRU) and move it to
     // the MRU position.
-    const std::size_t idx = stack_.size() - static_cast<std::size_t>(depth);
-    block = stack_[idx];
-    stack_.erase(stack_.begin() + static_cast<std::ptrdiff_t>(idx));
-    stack_.push_back(block);
+    block = stack_.touch(static_cast<std::size_t>(depth));
   } else {
-    // Streaming / beyond-working-set access: a fresh block.
+    // Streaming / beyond-working-set access: a fresh block. A full stack
+    // drops its LRU block first, which leaves what pushing and then
+    // dropping leaves, without a working set of the top tier's size ever
+    // spilling.
     was_new = true;
     block = next_block_++;
-    stack_.push_back(block);
-    if (stack_size() > params_.working_set_blocks) {
-      drop_lru(1);
-    }
+    if (stack_.size() >= params_.working_set_blocks) stack_.drop_lru(1);
+    stack_.push(block);
   }
   return private_base_ + static_cast<Addr>(block) * kLineBytes;
 }
@@ -179,7 +167,7 @@ std::size_t StackDistGenerator::fill(NextOp* out, std::size_t n,
   // batch's earlier ops leave it, so it only records its depth here (0 for
   // a forced fresh block). The stack is empty only before the first private
   // op ever, and no depth is drawn then.
-  bool stack_empty = stack_size() == 0;
+  bool stack_empty = stack_.size() == 0;
   std::size_t privates = 0;
   std::size_t i = 0;
   while (i < n) {

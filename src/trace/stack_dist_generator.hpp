@@ -29,6 +29,7 @@
 #include "src/common/types.hpp"
 #include "src/trace/access.hpp"
 #include "src/trace/draw_table.hpp"
+#include "src/trace/recency_stack.hpp"
 
 namespace capart::trace {
 
@@ -130,13 +131,6 @@ class StackDistGenerator {
   /// Re-derives the cached per-params terms below (phase switch / ctor).
   void refresh_param_cache();
 
-  /// Number of live blocks on the LRU stack.
-  std::size_t stack_size() const noexcept { return stack_.size() - base_; }
-
-  /// Drops the `n` least recently used blocks in amortized O(1): the dead
-  /// prefix grows and is compacted once it reaches the live size.
-  void drop_lru(std::size_t n);
-
   GenParams params_;
   Rng rng_;
   /// The clamped parameters the libm draws use, computed once per phase.
@@ -148,15 +142,11 @@ class StackDistGenerator {
   LatticeChance write_;
   Addr private_base_;
   Addr shared_base_;
-  /// LRU stack of private blocks: logical entries are stack_[base_..) with
-  /// the MRU at the back. The steady-state streaming access drops the LRU
-  /// block; with a plain vector that erase(begin()) memmoves the whole
-  /// working set on every streaming op, so instead the dead prefix just
-  /// grows (++base_) and is compacted in one move once it reaches the live
-  /// size — amortized O(1). Logical element order, and therefore the
-  /// generated stream, is identical to the plain-vector representation.
-  std::vector<std::uint32_t> stack_;
-  std::size_t base_ = 0;
+  /// LRU stack of private blocks (recency_stack.hpp): the 4,096 most
+  /// recent in a vector whose dead prefix absorbs the LRU drops, older ones
+  /// in a log that a deep reuse clears a slot of instead of memmoving the
+  /// blocks above it. Its order, and so the stream, is a single vector's.
+  RecencyStack stack_;
   std::uint32_t next_block_ = 0;
 
   /// A private op of the batch being generated: its slot and drawn depth.

@@ -121,12 +121,11 @@ PhasedGenerator thread_generator(const std::vector<Phase>& phases,
                          sim::shared_region_base());
 }
 
-/// FNV-1a over (gap, addr, type, prefetchable) of the first 100 k ops of
-/// every thread of `name` at seed 42, drawn in driver-sized batches.
-std::uint64_t stream_digest(const std::string& name, ThreadId threads) {
-  constexpr std::size_t kOps = 100'000;
-  const BenchmarkProfile profile = make_profile(name, threads);
-  std::uint64_t h = 0xCBF29CE484222325ull;
+/// Folds (gap, addr, type, prefetchable) of thread `t` of `profile`'s first
+/// `ops` ops at seed 42, drawn in driver-sized batches, into the FNV-1a
+/// hash `h`.
+void mix_stream(std::uint64_t& h, const BenchmarkProfile& profile, ThreadId t,
+                std::size_t ops) {
   const auto mix = [&h](std::uint64_t v, int bytes) {
     for (int b = 0; b < bytes; ++b) {
       h ^= (v >> (8 * b)) & 0xFF;
@@ -134,20 +133,27 @@ std::uint64_t stream_digest(const std::string& name, ThreadId threads) {
     }
   };
   std::vector<NextOp> batch(256);
-  for (ThreadId t = 0; t < threads; ++t) {
-    PhasedGenerator gen = thread_generator(profile.threads[t].phases, 42, t);
-    for (std::size_t done = 0; done < kOps;) {
-      const std::size_t got =
-          gen.fill(batch.data(), std::min(batch.size(), kOps - done));
-      for (std::size_t i = 0; i < got; ++i) {
-        mix(batch[i].gap, 8);
-        mix(batch[i].addr, 8);
-        mix(batch[i].type == AccessType::kWrite ? 1 : 0, 1);
-        mix(batch[i].prefetchable ? 1 : 0, 1);
-      }
-      done += got;
+  PhasedGenerator gen = thread_generator(profile.threads[t].phases, 42, t);
+  for (std::size_t done = 0; done < ops;) {
+    const std::size_t got =
+        gen.fill(batch.data(), std::min(batch.size(), ops - done));
+    for (std::size_t i = 0; i < got; ++i) {
+      mix(batch[i].gap, 8);
+      mix(batch[i].addr, 8);
+      mix(batch[i].type == AccessType::kWrite ? 1 : 0, 1);
+      mix(batch[i].prefetchable ? 1 : 0, 1);
     }
+    done += got;
   }
+}
+
+constexpr std::uint64_t kFnvOffset = 0xCBF29CE484222325ull;
+
+/// FNV-1a over the first 100 k ops of every thread of `name` at seed 42.
+std::uint64_t stream_digest(const std::string& name, ThreadId threads) {
+  const BenchmarkProfile profile = make_profile(name, threads);
+  std::uint64_t h = kFnvOffset;
+  for (ThreadId t = 0; t < threads; ++t) mix_stream(h, profile, t, 100'000);
   return h;
 }
 
@@ -174,6 +180,42 @@ TEST(PhasedGenerator, StreamDigestsArePinned) {
   for (const auto& pin : kPinned) {
     EXPECT_EQ(stream_digest(pin.profile, pin.threads), pin.digest)
         << std::hex << pin.profile << " x" << std::dec << pin.threads;
+  }
+}
+
+TEST(PhasedGenerator, LongStreamDigestsArePinned) {
+  // The 100 k-op pins above end while cg's critical stack still grows
+  // toward its 16,000 blocks. These run every thread whose working set
+  // exceeds 4,096 blocks (the LRU stack's top tier) for 2 M ops: the
+  // drops from a full deep tier, applu's 16,000 -> 13,000 phase shrink and
+  // swim's 8,000 -> 2,500 one. Recorded from the single-vector stack.
+  // cg's thread 0 at 32 threads is the 4-thread stream (the first cycle of
+  // specs is unscaled), so it is pinned once.
+  const struct {
+    const char* profile;
+    ThreadId threads;
+    ThreadId thread;
+    std::uint64_t digest;
+  } kPinned[] = {
+      {"cg", 4, 0, 0xb88c915ce0125deeull},
+      {"applu", 4, 3, 0x1fb5536a9bc8b554ull},
+      {"swim", 4, 0, 0xd90f056e99e7010cull},
+      {"swim", 4, 3, 0xec1dc1770b487aebull},
+      {"cg", 32, 4, 0xb9aa33a9e5747ffcull},
+      {"cg", 32, 8, 0x8d928961d9b4de7dull},
+  };
+  for (const auto& pin : kPinned) {
+    const BenchmarkProfile profile = make_profile(pin.profile, pin.threads);
+    std::uint32_t blocks = 0;
+    for (const Phase& phase : profile.threads[pin.thread].phases) {
+      blocks = std::max(blocks, phase.params.working_set_blocks);
+    }
+    ASSERT_GT(blocks, 4'096u) << pin.profile << " thread " << pin.thread;
+    std::uint64_t h = kFnvOffset;
+    mix_stream(h, profile, pin.thread, 2'000'000);
+    EXPECT_EQ(h, pin.digest)
+        << std::hex << pin.profile << " x" << std::dec << pin.threads
+        << " thread " << pin.thread << std::hex << " digest 0x" << h;
   }
 }
 

@@ -94,23 +94,29 @@ TEST(SingleThreadCache, FullAssociativitySweep) {
 }
 
 TEST(SingleThreadCache, RecencyDepthIsTheLruPosition) {
-  // The UMON shadows' query, on a scan-probed and an index-probed store.
+  // The UMON shadows' access, on a scan-probed and an index-probed store:
+  // it returns the block's LRU position before the access (ways when not
+  // resident), then touches or fills the block as a read would.
   for (const std::uint32_t ways : {4u, 16u}) {
     CacheCore c = single({.sets = 1, .ways = ways, .line_bytes = 64});
-    EXPECT_EQ(c.recency_depth(0, 0), ways);  // empty: not resident
-    for (std::uint64_t b = 0; b < ways; ++b) hit(c, blk(b), AccessType::kRead);
-    for (std::uint64_t b = 0; b < ways; ++b) {
-      EXPECT_EQ(c.recency_depth(b, 0), ways - 1 - b) << ways << " ways";
-    }
-    hit(c, blk(0), AccessType::kRead);  // block 0 becomes MRU
-    EXPECT_EQ(c.recency_depth(0, 0), 0u);
-    EXPECT_EQ(c.recency_depth(1, 0), ways - 1);
-    hit(c, blk(ways), AccessType::kRead);  // evicts block 1, the LRU
-    EXPECT_EQ(c.recency_depth(1, 0), ways);
-    EXPECT_EQ(c.recency_depth(ways, 0), 0u);
-    EXPECT_EQ(c.recency_depth(0, 0), 1u);
+    EXPECT_EQ(c.recency_access(0, 0), ways);  // empty: not resident
+    EXPECT_EQ(c.recency_access(0, 0), 0u);    // filled as the MRU
     c.flush();
-    EXPECT_EQ(c.recency_depth(0, 0), ways);
+    for (std::uint64_t b = 0; b < ways; ++b) hit(c, blk(b), AccessType::kRead);
+    // Newest first: only blocks above b have moved when b is reached.
+    for (std::uint64_t b = ways; b-- > 0;) {
+      EXPECT_EQ(c.recency_access(b, 0), ways - 1 - b) << ways << " ways";
+    }
+    EXPECT_EQ(c.recency_access(0, 0), 0u);  // block 0 is the MRU now
+    EXPECT_EQ(c.recency_access(ways - 1, 0), ways - 1);  // and this the LRU
+    EXPECT_EQ(c.recency_access(ways, 0), ways);  // evicts ways - 2, the LRU
+    EXPECT_FALSE(c.contains(blk(ways - 2)));
+    EXPECT_EQ(c.recency_access(ways, 0), 0u);
+    EXPECT_EQ(c.recency_access(0, 0), 2u);
+    c.flush();
+    EXPECT_EQ(c.recency_access(0, 0), ways);
+    // The shadow's accesses keep no stats: only hit()'s are counted.
+    EXPECT_EQ(c.stats().thread(0).accesses, ways);
   }
 }
 
